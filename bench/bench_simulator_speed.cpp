@@ -3,7 +3,7 @@
 // sizing experiments: the paper-scale sweeps process tens of millions of
 // events, and this reports how fast this machine chews through them.
 //
-// Three modes:
+// Four modes:
 //   (default)                 google-benchmark over the same workloads
 //   --json_out=PATH           run the fixed workload set once and write a
 //                             machine-readable record (events/sec per
@@ -18,15 +18,22 @@
 //                             only when this host has at least as many
 //                             hardware threads as the row used — on
 //                             smaller hosts they downgrade to advisory.
+//   --exact_check=BASELINE    run every serial workload once and exit 1
+//                             unless its `events` and `max_queue_depth`
+//                             equal BASELINE's row exactly; host-independent
+//                             (the counters are deterministic), this is the
+//                             `exact-counters` ctest target.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "coll/adaptive.h"
@@ -122,6 +129,10 @@ void copy_bulk_stats(WorkloadRecord& w, const harness::BcastRunResult& r) {
   w.bulk_fallback_lines = r.bulk_fallback_lines;
 }
 
+// --exact_check needs each workload's counters, which every repetition
+// reproduces exactly, so it runs each workload once.
+bool single_rep = false;
+
 // Repeats a workload until it has either burned ~0.5 s or done `max_reps`
 // runs, and keeps the best events/sec: the committed baseline should be the
 // machine's capability, not its worst scheduling hiccup (observed run-to-run
@@ -130,6 +141,7 @@ template <typename Fn>
 WorkloadRecord best_of(const std::string& name, int max_reps, Fn&& once) {
   WorkloadRecord w;
   w.name = name;
+  if (single_rep) max_reps = 1;
   double total = 0.0;
   for (int rep = 0; rep < max_reps && (rep < 2 || total < 0.5); ++rep) {
     const Clock::time_point t0 = Clock::now();
@@ -390,15 +402,22 @@ int json_out_mode(const std::string& path) {
   return 0;
 }
 
-// Minimal scan of our own --json_out format: the events_per_sec value of
-// the named workload. Returns a negative value if not found.
-double baseline_rate(const std::string& json, const std::string& workload) {
+// Minimal scan of our own --json_out format: where the value of `key` in
+// the named workload's row starts, or nullptr if the row or key is missing.
+const char* baseline_field(const std::string& json, const std::string& workload,
+                           const std::string& key) {
   const std::size_t at = json.find("\"name\": \"" + workload + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::string key = "\"events_per_sec\": ";
-  const std::size_t k = json.find(key, at);
-  if (k == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + k + key.size(), nullptr);
+  if (at == std::string::npos) return nullptr;
+  const std::string k = "\"" + key + "\": ";
+  const std::size_t pos = json.find(k, at);
+  if (pos == std::string::npos) return nullptr;
+  return json.c_str() + pos + k.size();
+}
+
+// The events_per_sec value of the named workload; negative if not found.
+double baseline_rate(const std::string& json, const std::string& workload) {
+  const char* v = baseline_field(json, workload, "events_per_sec");
+  return v == nullptr ? -1.0 : std::strtod(v, nullptr);
 }
 
 // One gating comparison: run `live`, compare against the baseline's row.
@@ -430,16 +449,22 @@ bool smoke_gate(const std::string& json, const std::string& row,
   return true;
 }
 
+bool read_file(const std::string& path, std::string& out) {
+  std::ifstream file(path);
+  if (!file) return false;
+  std::ostringstream buf;
+  buf << file.rdbuf();
+  out = buf.str();
+  return true;
+}
+
 int perf_smoke_mode(const std::string& baseline_path) {
-  std::ifstream file(baseline_path);
-  if (!file) {
+  std::string json;
+  if (!read_file(baseline_path, json)) {
     std::fprintf(stderr, "perf-smoke: cannot read baseline %s\n",
                  baseline_path.c_str());
     return 1;
   }
-  std::ostringstream buf;
-  buf << file.rdbuf();
-  const std::string json = buf.str();
 
   bool ok = true;
   // The gating set: the plain event loop plus the three observer-chain
@@ -518,6 +543,61 @@ int perf_smoke_mode(const std::string& baseline_path) {
   }
   if (!ok) return 1;
   std::printf("perf-smoke PASSED\n");
+  return 0;
+}
+
+// Every serial workload's `events` and `max_queue_depth` must equal the
+// baseline's bit for bit: an event-count or queue-depth change is a design
+// change on any host, whatever its speed.
+int exact_check_mode(const std::string& baseline_path) {
+  std::string json;
+  if (!read_file(baseline_path, json)) {
+    std::fprintf(stderr, "exact-counters: cannot read baseline %s\n",
+                 baseline_path.c_str());
+    return 1;
+  }
+  single_rep = true;
+  std::vector<WorkloadRecord> live;
+  for (std::size_t lines : {96, 1024, 8192}) {
+    live.push_back(run_ocbcast_workload(lines));
+  }
+  live.push_back(run_ocbcast_mesh_workload());
+  live.push_back(run_adaptive_workload());
+  live.push_back(run_ocbcast_checked_workload());
+  live.push_back(run_ocbcast_traced_workload());
+  live.push_back(run_fig4_workload());
+  live.push_back(run_service_workload());
+  live.push_back(run_fault_sweep_workload());
+
+  bool ok = true;
+  for (const WorkloadRecord& w : live) {
+    const std::pair<const char*, std::uint64_t> counters[] = {
+        {"events", w.events}, {"max_queue_depth", w.max_queue_depth}};
+    for (const auto& [key, value] : counters) {
+      const char* v = baseline_field(json, w.name, key);
+      if (v == nullptr) {
+        std::fprintf(stderr, "exact-counters FAILED: %s has no %s baseline\n",
+                     w.name.c_str(), key);
+        ok = false;
+        continue;
+      }
+      const std::uint64_t committed = std::strtoull(v, nullptr, 10);
+      const bool same = committed == value;
+      std::printf("exact-counters %s %s: live %llu vs committed %llu%s\n",
+                  w.name.c_str(), key, static_cast<unsigned long long>(value),
+                  static_cast<unsigned long long>(committed),
+                  same ? "" : "  MISMATCH");
+      ok &= same;
+    }
+  }
+  if (!ok) {
+    std::fprintf(stderr,
+                 "exact-counters FAILED: a deterministic counter moved. If the "
+                 "change is intended, regenerate the baseline with "
+                 "--json_out=results/bench_simulator_speed.json and say why.\n");
+    return 1;
+  }
+  std::printf("exact-counters PASSED\n");
   return 0;
 }
 
@@ -651,6 +731,9 @@ int main(int argc, char** argv) {
     }
     if (arg.rfind("--perf_smoke=", 0) == 0) {
       return perf_smoke_mode(arg.substr(std::string("--perf_smoke=").size()));
+    }
+    if (arg.rfind("--exact_check=", 0) == 0) {
+      return exact_check_mode(arg.substr(std::string("--exact_check=").size()));
     }
   }
   benchmark::Initialize(&argc, argv);

@@ -89,8 +89,7 @@ FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
   out.injections = injector.stats();
   out.crashed = static_cast<int>(injector.stats().crashes_applied);
   out.survivors = parties - out.crashed;
-  // Drained = the queue emptied on its own (didn't hit the event budget).
-  out.drained = run.events_processed < spec.max_events;
+  out.drained = run.drained;
 
   auto is_crashed = [&](CoreId c) {
     for (const fault::FailStop& f : spec.plan.crashes) {

@@ -51,43 +51,6 @@ Engine::~Engine() {
   }
 }
 
-void Engine::heap_push(std::vector<Event>& heap, const Event& e) {
-  // 4-ary sift-up: parent of i is (i-1)/4.
-  std::size_t i = heap.size();
-  heap.push_back(e);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!before(heap[i], heap[parent])) break;
-    std::swap(heap[i], heap[parent]);
-    i = parent;
-  }
-}
-
-Engine::Event Engine::heap_pop(std::vector<Event>& heap) {
-  const Event top = heap.front();
-  const Event last = heap.back();
-  heap.pop_back();
-  const std::size_t n = heap.size();
-  if (n > 0) {
-    // 4-ary sift-down: children of i are 4i+1 .. 4i+4.
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first_child = 4 * i + 1;
-      if (first_child >= n) break;
-      std::size_t best = first_child;
-      const std::size_t end = first_child + 4 < n ? first_child + 4 : n;
-      for (std::size_t c = first_child + 1; c < end; ++c) {
-        if (before(heap[c], heap[best])) best = c;
-      }
-      if (!before(heap[best], last)) break;
-      heap[i] = heap[best];
-      i = best;
-    }
-    heap[i] = last;
-  }
-  return top;
-}
-
 Time Engine::now() const {
   if (t_ctx.engine == this && t_ctx.lane != nullptr) {
     return static_cast<const Lane*>(t_ctx.lane)->now;
@@ -116,8 +79,8 @@ void Engine::schedule(Time t, std::coroutine_handle<> h) {
   }
   OCB_REQUIRE(!pdes_running_, "schedule() from outside a lane during a PDES run");
   OCB_REQUIRE(t >= now_, "cannot schedule an event in the past");
-  heap_push(heap_, Event{t, next_seq_++, h.address(), nullptr});
-  if (heap_.size() > max_queue_depth_) max_queue_depth_ = heap_.size();
+  queue_.push(Event{t, next_seq_++, h.address(), nullptr});
+  if (queue_.size() > max_queue_depth_) max_queue_depth_ = queue_.size();
 }
 
 void Engine::schedule_fn(Time t, void (*fn)(void*), void* ctx) {
@@ -131,8 +94,8 @@ void Engine::schedule_fn(Time t, void (*fn)(void*), void* ctx) {
   }
   OCB_REQUIRE(!pdes_running_, "schedule_fn() from outside a lane during a PDES run");
   OCB_REQUIRE(t >= now_, "cannot schedule an event in the past");
-  heap_push(heap_, Event{t, next_seq_++, ctx, fn});
-  if (heap_.size() > max_queue_depth_) max_queue_depth_ = heap_.size();
+  queue_.push(Event{t, next_seq_++, ctx, fn});
+  if (queue_.size() > max_queue_depth_) max_queue_depth_ = queue_.size();
 }
 
 void Engine::schedule_on_lane(unsigned lane, Time t, std::coroutine_handle<> h) {
@@ -198,8 +161,8 @@ RunResult Engine::run(std::uint64_t max_events) {
   const FramePool::Stats pool_before = FramePool::stats();
 #endif
   std::uint64_t processed = 0;
-  while (!heap_.empty() && processed < max_events) {
-    const Event ev = heap_pop(heap_);
+  while (!queue_.empty() && processed < max_events) {
+    const Event ev = queue_.pop();
     OCB_ENSURE(ev.t >= now_, "event queue time went backwards");
     now_ = ev.t;
     ++processed;
@@ -221,6 +184,7 @@ RunResult Engine::run(std::uint64_t max_events) {
   result.stalled_processes = live_processes();
   result.end_time = now_;
   result.max_queue_depth = max_queue_depth_;
+  result.drained = queue_.empty();
 #ifdef OCB_SIM_STATS
   const FramePool::Stats pool_after = FramePool::stats();
   result.frame_allocs = pool_after.fresh - pool_before.fresh;
@@ -277,17 +241,16 @@ RunResult Engine::run_pdes(unsigned threads, Duration lookahead) {
 
   // Seed the lanes: every pending event must be a spawned root's start
   // event (anything else has no home lane). Keys are assigned in serial
-  // (t, seq) order so the seeding itself is deterministic.
+  // (t, seq) order — the queue's pop order — so the seeding itself is
+  // deterministic.
   lanes_ = std::vector<Lane>(kMaxLanes);
   for (Lane& lane : lanes_) {
     lane.now = now_;
     lane.max_t = now_;
   }
   {
-    std::vector<Event> pending = heap_;
-    heap_.clear();
-    std::sort(pending.begin(), pending.end(), &before);
-    for (const Event& e : pending) {
+    while (!queue_.empty()) {
+      const Event e = queue_.pop();
       const Root* owner = nullptr;
       for (const Root& root : roots_) {
         if (root.handle.address() == e.ptr) {
@@ -376,6 +339,7 @@ RunResult Engine::run_pdes(unsigned threads, Duration lookahead) {
   result.stalled_processes = live_processes();
   result.end_time = now_;
   result.max_queue_depth = max_queue_depth_;
+  result.drained = true;
   result.pdes_threads = threads;
 #ifdef OCB_SIM_STATS
   const FramePool::Stats pool_after = FramePool::stats();

@@ -29,11 +29,10 @@
 // (tests/pdes_equivalence_test.cpp). See DESIGN.md §11 for the full
 // argument, including why same-(t) cross-lane order is unobservable.
 //
-// The queue is a hand-rolled 4-ary implicit heap over 32-byte events: the
-// insertion pattern is near-monotone (most events land close after now),
-// so the shallower, cache-denser heap beats std::priority_queue's binary
-// layout on the hot pop/push cycle. Pop order is identical — (t, key) is a
-// total order, so no tie can be resolved differently.
+// The serial queue is sim::EventQueue, a time wheel of 500 ps buckets with
+// a 4-ary heap for events beyond its ~1 µs window (see event_queue.h). It
+// pops in exact (t, seq) order — a total order, so no tie can resolve
+// differently from a plain heap. PDES lanes keep plain 4-ary heaps.
 //
 // Ownership model: Engine::spawn wraps each top-level Task in a root frame
 // the engine owns. Destroying the engine destroys every root frame, which
@@ -49,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/event_queue.h"
 #include "sim/frame_pool.h"
 #include "sim/task.h"
 #include "sim/time.h"
@@ -103,10 +103,15 @@ struct RunResult {
   /// process was deliberately halted (fault injection).
   std::size_t stalled_processes = 0;
   Time end_time = 0;
-  /// Deepest the event queue ever got (engine lifetime): a queue-pressure
-  /// regression shows up here rather than being inferred from wall time.
-  /// Under PDES this is the deepest any single lane heap got.
+  /// Deepest the event queue ever got (engine lifetime, overflow events
+  /// included): a queue-pressure regression shows up here rather than being
+  /// inferred from wall time. Under PDES this is the deepest any single
+  /// lane heap got.
   std::uint64_t max_queue_depth = 0;
+  /// The call returned because the queue emptied, not because it hit
+  /// `max_events` (a queue that empties on exactly the last budgeted event
+  /// counts as drained). Always true after run_pdes.
+  bool drained = false;
   /// Coroutine-frame allocation counters for this run (deltas; non-zero
   /// only when built with OCB_SIM_STATS): frames taken from the system
   /// allocator vs. recycled through the sim::FramePool free lists. Under
@@ -190,10 +195,10 @@ class Engine {
     return live_.load(std::memory_order_relaxed);
   }
 
-  /// Events currently queued (serial mode). The closed-form RMA fast path
-  /// uses this to detect a quiescent machine; PDES runs never take that
-  /// path (coalescing is disabled under PDES).
-  std::size_t queue_size() const { return heap_.size(); }
+  /// Events currently queued (serial mode), overflow included. The
+  /// closed-form RMA fast path uses this to detect a quiescent machine;
+  /// PDES runs never take that path (coalescing is disabled under PDES).
+  std::size_t queue_size() const { return queue_.size(); }
 
   /// Awaitable: suspends the caller for `d` simulated time.
   auto sleep(Duration d) {
@@ -275,17 +280,6 @@ class Engine {
  private:
   friend struct detail::RootPromise;
 
-  /// 32 bytes; fn == nullptr means `ptr` is a coroutine to resume, else
-  /// fn(ptr) is called. `seq` is a global insertion counter in serial mode
-  /// and the packed (origin lane << 56 | per-lane counter) key under PDES;
-  /// the comparator is the same either way.
-  struct Event {
-    Time t;
-    std::uint64_t seq;
-    void* ptr;
-    void (*fn)(void*);
-  };
-
   struct Root {
     std::coroutine_handle<detail::RootPromise> handle;
     std::string (*describe)(void*) = nullptr;
@@ -309,12 +303,6 @@ class Engine {
 
   static detail::RootTask make_root(Task<void> task);
 
-  static bool before(const Event& a, const Event& b) {
-    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-  }
-  static void heap_push(std::vector<Event>& heap, const Event& e);
-  static Event heap_pop(std::vector<Event>& heap);
-
   void schedule_on_lane(unsigned lane, Time t, std::coroutine_handle<> h);
   void lane_push(Lane& lane, const Event& e);
   void worker_loop(unsigned worker, unsigned threads);
@@ -325,7 +313,7 @@ class Engine {
   }
   void note_process_error(std::exception_ptr e);
 
-  std::vector<Event> heap_;
+  EventQueue queue_;
   std::vector<Root> roots_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -69,6 +69,26 @@ TEST(FaultInjector, CountsWhatItDoes) {
   EXPECT_EQ(out.injections.stalls_applied, 0u);
 }
 
+TEST(FaultRun, DrainsOnExactlyTheLastBudgetedEvent) {
+  // A run whose queue empties on its last budgeted event has drained; one
+  // event less leaves work queued.
+  harness::FaultRunSpec spec = base_spec(4 * 1024);
+  spec.plan.seed = 3;
+  spec.plan.rates.mpb_read = 1e-3;
+  const harness::FaultRunOutcome full = run_fault_once(spec);
+  ASSERT_TRUE(full.drained);
+  ASSERT_TRUE(full.all_survivors_correct());
+  spec.max_events = full.events;
+  const harness::FaultRunOutcome exact = run_fault_once(spec);
+  EXPECT_TRUE(exact.drained);
+  EXPECT_EQ(exact.events, full.events);
+  EXPECT_TRUE(exact.all_survivors_correct());
+  spec.max_events = full.events - 1;
+  const harness::FaultRunOutcome cut = run_fault_once(spec);
+  EXPECT_FALSE(cut.drained);
+  EXPECT_FALSE(cut.all_survivors_correct());
+}
+
 TEST(FtOcBcast, TransientReadCorruptionIsRecovered) {
   harness::FaultRunSpec spec = base_spec();
   spec.plan.rates.mpb_read = 1e-3;  // dozens of flips over a 64 KiB bcast
