@@ -20,7 +20,6 @@ AdaptiveBcast::AdaptiveBcast(scc::SccChip& chip, const Params& params,
   OCB_REQUIRE(params_.observed_fault_rate >= 0.0 &&
                   params_.observed_fault_rate <= 1.0,
               "observed_fault_rate out of [0,1]");
-  chip_->note_dynamic_spawning();
 }
 
 sim::Task<void> AdaptiveBcast::run(scc::Core& self, CoreId root,

@@ -10,8 +10,7 @@
 // then scrubs every core's MPB before instantiating the replacement.
 //
 // Not a builtin: call register_adaptive() to install it as "adaptive"
-// (keeps the registry's all-algorithms test grids — PDES parity, race
-// checks — over protocols only).
+// (keeps the registry's all-algorithms test grids over protocols only).
 #pragma once
 
 #include <memory>
@@ -37,12 +36,9 @@ class AdaptiveBcast final : public Collective {
     Choice choice;
   };
 
-  /// The chip is pinned to the deterministic serial loop for its lifetime
-  /// (note_dynamic_spawning): delegate switching mutates shared state
-  /// (in-flight counter, delegate pointer) from every core's coroutine,
-  /// which is only safe single-threaded. Requires params.mpb_base_line == 0
-  /// — the adaptive layer re-derives chunk shapes per band and therefore
-  /// owns the whole MPB; it cannot live inside a service slot lease.
+  /// Requires params.mpb_base_line == 0: the adaptive layer re-derives
+  /// chunk shapes per band and therefore owns the whole MPB; it cannot
+  /// live inside a service slot lease.
   AdaptiveBcast(scc::SccChip& chip, const Params& params,
                 DecisionTable table = DecisionTable::baked_in());
 

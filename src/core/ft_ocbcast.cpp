@@ -270,10 +270,12 @@ sim::Task<bool> FtOcBcast::follower_chunk(
       rma::note_flag_wait(self, rma::MpbAddr{source, staged_line(parity)});
       int probes = 0;
       bool detected = false;
+      sim::Trigger& trig =
+          self.chip().mpb(source).line_trigger(staged_line(parity));
       while (!detected) {
-        std::uint64_t epoch = 0;
+        const std::uint64_t epoch = trig.epoch();
         CacheLine sl;
-        co_await self.mpb_read_line(source, staged_line(parity), sl, &epoch);
+        co_await self.mpb_read_line(source, staged_line(parity), sl);
         st = decode_staged(sl);
         if (st.valid && st.seq >= seq) {
           rma::note_flag_acquire(self, rma::MpbAddr{source, staged_line(parity)},
@@ -283,10 +285,6 @@ sim::Task<bool> FtOcBcast::follower_chunk(
         }
         self.set_wait_note("staged-wait", source,
                            static_cast<int>(staged_line(parity)));
-        // Trigger reference taken after the read (home-lane under PDES;
-        // see rma::wait_flag).
-        sim::Trigger& trig =
-            self.chip().mpb(source).line_trigger(staged_line(parity));
         const bool woken =
             co_await trig.wait_for(options_.watchdog.timeout, epoch);
         self.set_wait_note("running");

@@ -84,6 +84,7 @@ FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
   FaultRunOutcome out;
   out.parties = parties;
   out.events = run.events_processed;
+  out.max_queue_depth = run.max_queue_depth;
   out.stalled_processes = run.stalled_processes;
   out.stalled_details = run.stalled_details;
   out.injections = injector.stats();

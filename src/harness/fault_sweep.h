@@ -55,6 +55,8 @@ struct FaultRunOutcome {
   /// returned.
   double latency_us = 0.0;
   std::uint64_t events = 0;
+  /// Deepest the chip's event queue got (sim::RunResult::max_queue_depth).
+  std::uint64_t max_queue_depth = 0;
   fault::InjectionStats injections;
   /// Races detected (0 unless spec.check_races).
   std::uint64_t race_violations = 0;

@@ -113,25 +113,22 @@ sim::Task<FlagValue> read_flag(scc::Core& self, MpbAddr flag);
 
 /// Polls a flag line until `pred(value)` holds; returns the accepted value.
 ///
-/// The epoch capture (mpb_read_line's `epoch_out`) closes the
-/// read-response window: the line's value is sampled at the owner's MPB,
-/// but the poller only learns it one mesh traversal later — a store
-/// landing in between must not be lost. The trigger reference is taken
-/// AFTER the read each iteration: under PDES the chain then rests on the
-/// line's home lane, making the park below lane-local and race-free.
+/// The epoch capture closes the read-response window: the line's value is
+/// sampled at the owner's MPB, but the poller only learns it one mesh
+/// traversal later — a store landing in between must not be lost.
 template <typename Pred>
 sim::Task<FlagValue> wait_flag(scc::Core& self, MpbAddr flag, Pred pred) {
   note_flag_wait(self, flag);
+  sim::Trigger& trigger = self.chip().mpb(flag.owner).line_trigger(flag.line);
   for (;;) {
-    std::uint64_t epoch = 0;
+    const std::uint64_t epoch = trigger.epoch();
     CacheLine cl;
-    co_await self.mpb_read_line(flag.owner, flag.line, cl, &epoch);
+    co_await self.mpb_read_line(flag.owner, flag.line, cl);
     const FlagValue v = decode_flag(cl);
     if (pred(v)) {
       note_flag_acquire(self, flag, v);
       co_return v;
     }
-    sim::Trigger& trigger = self.chip().mpb(flag.owner).line_trigger(flag.line);
     co_await trigger.wait_unless_changed(epoch);
   }
 }

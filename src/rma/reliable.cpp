@@ -21,10 +21,11 @@ sim::Task<std::optional<FlagValue>> wait_checked_flag_at_least_watchdog(
     scc::Core& self, MpbAddr flag, FlagValue minimum, sim::Duration timeout) {
   note_flag_wait(self, flag);
   const sim::Time deadline = self.now() + timeout;
+  sim::Trigger& trigger = self.chip().mpb(flag.owner).line_trigger(flag.line);
   for (;;) {
-    std::uint64_t epoch = 0;
+    const std::uint64_t epoch = trigger.epoch();
     CacheLine cl;
-    co_await self.mpb_read_line(flag.owner, flag.line, cl, &epoch);
+    co_await self.mpb_read_line(flag.owner, flag.line, cl);
     const FlagValue v = decode_checked_flag(cl);
     if (v >= minimum) {
       note_flag_acquire(self, flag, v);
@@ -33,9 +34,6 @@ sim::Task<std::optional<FlagValue>> wait_checked_flag_at_least_watchdog(
     const sim::Time now = self.now();
     if (now >= deadline) co_return std::nullopt;
     self.set_wait_note("flag-watchdog", flag.owner, static_cast<int>(flag.line));
-    // Trigger reference taken after the read (home-lane under PDES; see
-    // rma::wait_flag).
-    sim::Trigger& trigger = self.chip().mpb(flag.owner).line_trigger(flag.line);
     const bool woken = co_await trigger.wait_for(deadline - now, epoch);
     self.set_wait_note("running");
     if (woken) continue;

@@ -100,18 +100,7 @@ class Core {
 
   /// Reads one line from core `owner`'s MPB into `out`.
   /// Completion: o_mpb + 2d*L_hop (Formula 3).
-  ///
-  /// `epoch_out` (optional) additionally samples the line's trigger epoch
-  /// for the read-then-park flag-wait pattern (rma::wait_flag et al.). In
-  /// the serial loop it is sampled before the transaction starts — exactly
-  /// where those loops used to sample it inline. Under PDES it is sampled
-  /// at the MPB access itself, on the line's home lane: sampling a foreign
-  /// lane's trigger from the requester's lane would race, and the only
-  /// observable difference is that a store landing during the request
-  /// flight is seen by this read directly instead of via one extra retry
-  /// read (certified empirically by tests/pdes_equivalence_test.cpp).
-  sim::Task<void> mpb_read_line(CoreId owner, std::size_t line, CacheLine& out,
-                                std::uint64_t* epoch_out = nullptr);
+  sim::Task<void> mpb_read_line(CoreId owner, std::size_t line, CacheLine& out);
 
   /// Writes one line into core `owner`'s MPB; returns when the write is
   /// acknowledged (Formula 2); the data is visible remotely ~d*L_hop

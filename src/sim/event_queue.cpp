@@ -4,7 +4,7 @@
 
 namespace ocb::sim {
 
-void heap_push(std::vector<Event>& heap, const Event& e) {
+void EventQueue::heap_push(std::vector<Event>& heap, const Event& e) {
   // 4-ary sift-up: parent of i is (i-1)/4.
   std::size_t i = heap.size();
   heap.push_back(e);
@@ -16,7 +16,7 @@ void heap_push(std::vector<Event>& heap, const Event& e) {
   }
 }
 
-Event heap_pop(std::vector<Event>& heap) {
+Event EventQueue::heap_pop(std::vector<Event>& heap) {
   const Event top = heap.front();
   const Event last = heap.back();
   heap.pop_back();

@@ -35,9 +35,8 @@
 namespace ocb::sim {
 
 /// One scheduled event (32 bytes). fn == nullptr means `ptr` is a coroutine
-/// to resume, else fn(ptr) is called. `seq` breaks same-instant ties: a
-/// global insertion counter in serial runs, the packed (origin lane << 56 |
-/// per-lane counter) key under PDES; the order is the same either way.
+/// to resume, else fn(ptr) is called. `seq`, the engine's insertion
+/// counter, breaks same-instant ties.
 struct Event {
   Time t;
   std::uint64_t seq;
@@ -45,15 +44,10 @@ struct Event {
   void (*fn)(void*);
 };
 
-/// The total order every queue pops in.
+/// The total order the queue pops in.
 inline bool before(const Event& a, const Event& b) {
   return a.t != b.t ? a.t < b.t : a.seq < b.seq;
 }
-
-/// 4-ary implicit min-heap over (t, seq): the wheel's overflow store and
-/// the PDES lane queues.
-void heap_push(std::vector<Event>& heap, const Event& e);
-Event heap_pop(std::vector<Event>& heap);
 
 class EventQueue {
  public:
@@ -84,6 +78,10 @@ class EventQueue {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
   };
+
+  /// 4-ary implicit min-heap over (t, seq): the overflow store.
+  static void heap_push(std::vector<Event>& heap, const Event& e);
+  static Event heap_pop(std::vector<Event>& heap);
 
   void insert(const Event& e, std::size_t slot);
   void insert_sorted(Bucket& b, std::uint32_t id);

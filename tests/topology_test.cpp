@@ -3,21 +3,18 @@
 // Four contracts are gated here:
 //  * Topology::scc() reproduces the legacy global-constant geometry
 //    bit-for-bit: tile/core maps, the quadrant memory-controller
-//    assignment, distances, and the historical id/6 PDES lane partition.
+//    assignment, and distances.
 //    (The timeline-level half of this gate — fig4 / fault_test /
 //    trace_timeline byte-identity — runs in CI against captured
 //    baselines.)
 //  * Non-default meshes validate: out-of-range cores/tiles are rejected
-//    with the chip's own bounds, not the SCC's, and the PDES lane
-//    partition stays monotone-contiguous on meshes where the old id/6
-//    split would silently mis-partition (tile counts not divisible by the
-//    lane count).
+//    with the chip's own bounds, not the SCC's.
 //  * The "ocb-topology-v1" JSON record round-trips, and parse() accepts
 //    the bench-flag spellings.
 //  * Chips built from non-SCC topologies actually run: OC-Bcast delivers
-//    on a 16x16 mesh, serial and PDES timelines stay in parity there, and
-//    the hierarchical broadcast delivers on a multi-die chip for roots on
-//    any die.
+//    on a 16x16 mesh and on a 5x5 mesh (a column count that is not a
+//    multiple of the SCC's 6), and the hierarchical broadcast delivers on
+//    a multi-die chip for roots on any die.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -75,13 +72,6 @@ TEST(TopologyScc, GeometryShimsForwardToScc) {
   }
 }
 
-TEST(TopologyScc, PdesLanePartitionIsTheHistoricalIdOverSix) {
-  scc::SccChip chip;
-  for (CoreId c = 0; c < kNumCores; ++c) {
-    EXPECT_EQ(chip.lane_of_core(c), static_cast<unsigned>(c / 6)) << c;
-  }
-}
-
 // --- non-default meshes ----------------------------------------------------
 
 TEST(TopologyMesh, OutOfRangeUsesTheChipsOwnBounds) {
@@ -110,29 +100,6 @@ TEST(TopologyMesh, RejectsDegenerateSpecs) {
   Topology::Spec bad_mc;
   bad_mc.mc_tiles_per_die = {TileCoord{6, 0}};  // outside the 6x4 die
   EXPECT_THROW(Topology{bad_mc}, PreconditionError);
-}
-
-TEST(TopologyMesh, LanePartitionMonotoneOnAwkwardMeshes) {
-  // The legacy id/6 split assumed 6 tile columns; a 5x5 mesh (25 tiles,
-  // not divisible by 8 lanes) must still partition into monotone
-  // contiguous lane ranges covering all lanes that get tiles.
-  for (const auto& topo :
-       {Topology::mesh(5, 5), Topology::mesh(3, 1, 1), Topology::mesh(16, 16)}) {
-    scc::SccConfig cfg;
-    cfg.topology = topo;
-    scc::SccChip chip(cfg);  // OCB_ENSUREs monotone-contiguity internally
-    unsigned prev = 0;
-    for (int tile = 0; tile < topo.num_tiles(); ++tile) {
-      const unsigned lane = chip.lane_of_tile_index(tile);
-      EXPECT_LT(lane, sim::Engine::kMaxLanes);
-      EXPECT_GE(lane, prev) << "lane map must be monotone in tile index";
-      prev = lane;
-    }
-    for (CoreId c = 0; c < topo.num_cores(); ++c) {
-      EXPECT_EQ(chip.lane_of_core(c),
-                chip.lane_of_tile_index(topo.tile_index_of_core(c)));
-    }
-  }
 }
 
 // --- dies ------------------------------------------------------------------
@@ -206,46 +173,23 @@ TEST(TopologyParse, BenchFlagSpellings) {
 
 // --- chips on non-SCC topologies ------------------------------------------
 
-harness::BcastRunResult run_on_mesh(const std::string& algo,
-                                    const Topology& topo,
-                                    unsigned pdes_threads) {
-  harness::BcastRunSpec spec;
-  spec.algorithm_name = algo;
-  spec.params.parties = 0;  // all cores of the chip
-  spec.config.topology = topo;
-  spec.config.pdes_threads = pdes_threads;
-  spec.message_bytes = 64 * kCacheLineBytes;
-  spec.iterations = 2;
-  spec.warmup = 1;
-  return harness::run_broadcast(spec);
-}
-
 TEST(TopologyChips, OcBcastDeliversOn256CoreMesh) {
-  const Topology t = Topology::mesh(16, 16, /*cores_per_tile=*/1);
-  const harness::BcastRunResult run = run_on_mesh("ocbcast", t, 0);
-  EXPECT_TRUE(run.content_ok);
-  EXPECT_GT(run.latency_us.mean(), 0.0);
-}
-
-TEST(TopologyChips, PdesParityOnNonSccMesh) {
-  // Satellite of the lane-partition fix: the 5x5 mesh is exactly the
-  // shape the old id/6 split mis-partitioned. Serial vs PDES must agree
-  // to the usual sub-1% link-serialization haircut, and pdes(N) must be
-  // bit-identical to pdes(1).
-  const Topology t = Topology::mesh(5, 5);
-  const harness::BcastRunResult serial = run_on_mesh("ocbcast", t, 0);
-  const harness::BcastRunResult one = run_on_mesh("ocbcast", t, 1);
-  const harness::BcastRunResult four = run_on_mesh("ocbcast", t, 4);
-  ASSERT_TRUE(serial.content_ok);
-  ASSERT_TRUE(one.content_ok);
-  ASSERT_TRUE(four.content_ok);
-  EXPECT_EQ(one.pdes_threads, 1u);
-  EXPECT_EQ(four.pdes_threads, 4u);
-  EXPECT_EQ(one.end_time, four.end_time);
-  EXPECT_EQ(one.events, four.events);
-  EXPECT_NEAR(static_cast<double>(one.end_time),
-              static_cast<double>(serial.end_time),
-              0.01 * static_cast<double>(serial.end_time));
+  // The 5x5 mesh (50 cores) rides along: its column count is not a
+  // multiple of the SCC's 6.
+  for (const Topology& t :
+       {Topology::mesh(16, 16, /*cores_per_tile=*/1), Topology::mesh(5, 5)}) {
+    SCOPED_TRACE(t.describe());
+    harness::BcastRunSpec spec;
+    spec.algorithm_name = "ocbcast";
+    spec.params.parties = 0;  // all cores of the chip
+    spec.config.topology = t;
+    spec.message_bytes = 64 * kCacheLineBytes;
+    spec.iterations = 2;
+    spec.warmup = 1;
+    const harness::BcastRunResult run = harness::run_broadcast(spec);
+    EXPECT_TRUE(run.content_ok);
+    EXPECT_GT(run.latency_us.mean(), 0.0);
+  }
 }
 
 // --- hierarchical broadcast ------------------------------------------------
