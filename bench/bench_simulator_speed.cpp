@@ -189,6 +189,27 @@ WorkloadRecord run_ocbcast_mesh_workload() {
   });
 }
 
+// The 96-line broadcast over all 1024 cores of a 2x2-die package
+// (dies:2x2:mesh:16x8, 512 tiles): per-chip state at 21x the SCC's core
+// count, with interposer links on every cross-die route. Its counters are
+// checked exactly by exact-counters; perf-smoke does not gate it.
+WorkloadRecord run_ocbcast_dies_workload() {
+  return best_of("ocbcast_1024core_dies2x2", 3, [] {
+    harness::BcastRunSpec spec = ocbcast_spec(96);
+    spec.config.topology = noc::Topology::parse("dies:2x2:mesh:16x8");
+    spec.algorithm_name = "ocbcast";  // `params` apply to registry runs only
+    spec.params.parties = 0;          // all 1024 cores
+    const harness::BcastRunResult r = run_broadcast(spec);
+    WorkloadRecord w;
+    w.events = r.events;
+    w.max_queue_depth = r.max_queue_depth;
+    w.frame_allocs = r.frame_allocs;
+    w.frame_reuses = r.frame_reuses;
+    copy_bulk_stats(w, r);
+    return w;
+  });
+}
+
 // The same 1024-line broadcast with the ocb::check race checker installed:
 // vector-clock bookkeeping on every MPB access, i.e. the cost of running
 // "checked". The checker is bulk-capable (scc/observer.h), so coalesced
@@ -322,6 +343,8 @@ int json_out_mode(const std::string& path) {
   }
   std::fprintf(stderr, "running ocbcast_256core_mesh16x16...\n");
   records.push_back(run_ocbcast_mesh_workload());
+  std::fprintf(stderr, "running ocbcast_1024core_dies2x2...\n");
+  records.push_back(run_ocbcast_dies_workload());
   std::fprintf(stderr, "running adaptive_1024...\n");
   records.push_back(run_adaptive_workload());
   std::fprintf(stderr, "running ocbcast_1024_checked...\n");
@@ -487,6 +510,7 @@ int exact_check_mode(const std::string& baseline_path) {
     live.push_back(run_ocbcast_workload(lines));
   }
   live.push_back(run_ocbcast_mesh_workload());
+  live.push_back(run_ocbcast_dies_workload());
   live.push_back(run_adaptive_workload());
   live.push_back(run_ocbcast_checked_workload());
   live.push_back(run_ocbcast_traced_workload());

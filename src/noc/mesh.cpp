@@ -57,35 +57,37 @@ Mesh::Mesh(sim::Engine& engine, const Topology& topology, sim::Duration l_hop,
       }
     }
   }
-  routes_.resize(static_cast<std::size_t>(tiles) * static_cast<std::size_t>(tiles));
-  for (int s = 0; s < tiles; ++s) {
-    for (int d = 0; d < tiles; ++d) {
-      const auto links = xy_route_links(topology_, topology_.tile_coord(s),
-                                        topology_.tile_coord(d));
-      routes_[static_cast<std::size_t>(s) * static_cast<std::size_t>(tiles) +
-              static_cast<std::size_t>(d)] =
-          RouteRef{static_cast<std::uint32_t>(route_storage_.size()),
-                   static_cast<std::uint32_t>(links.size())};
-      route_storage_.insert(route_storage_.end(), links.begin(), links.end());
-    }
-  }
 }
 
 sim::Time Mesh::reserve_path(sim::Time departure, TileCoord src, TileCoord dst) {
-  const RouteRef ref = route_ref(src, dst);
+  int tile = topology_.tile_index(src);
+  topology_.tile_index(dst);  // bounds check
   // The packet spends L_hop in the source router, then one hop latency per
   // link crossed (each subsequent router; interposer links are slower),
   // holding every link for its serialization time starting when the head
-  // flit enters it.
+  // flit enters it. Links are visited in xy_route's order: X, then Y.
   sim::Time cursor = departure;
-  for (std::uint32_t i = 0; i < ref.length; ++i) {
-    const LinkId link = route_storage_[ref.begin + i];
-    const sim::Duration occ = link_occ_[static_cast<std::size_t>(link)];
-    const sim::Time done = links_[static_cast<std::size_t>(link)].reserve(cursor, occ);
-    const sim::Time start = done - occ;
-    link_busy_[static_cast<std::size_t>(link)] += occ;
-    ++link_packets_[static_cast<std::size_t>(link)];
-    cursor = start + link_latency_[static_cast<std::size_t>(link)];
+  const auto walk = [&](int hops, Direction dir, int step) {
+    for (int i = 0; i < hops; ++i) {
+      const auto link = static_cast<std::size_t>(tile * 4 + static_cast<int>(dir));
+      const sim::Duration occ = link_occ_[link];
+      const sim::Time start = links_[link].reserve(cursor, occ) - occ;
+      link_busy_[link] += occ;
+      ++link_packets_[link];
+      cursor = start + link_latency_[link];
+      tile += step;
+    }
+  };
+  const int cols = topology_.mesh_cols();
+  if (dst.x >= src.x) {
+    walk(dst.x - src.x, Direction::kEast, 1);
+  } else {
+    walk(src.x - dst.x, Direction::kWest, -1);
+  }
+  if (dst.y >= src.y) {
+    walk(dst.y - src.y, Direction::kSouth, cols);
+  } else {
+    walk(src.y - dst.y, Direction::kNorth, -cols);
   }
   // Final (destination) router traversal; for src == dst this is the single
   // local-router hop (d = 1).

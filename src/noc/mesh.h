@@ -13,7 +13,8 @@
 // serialization on top of link_occupancy. Per-link timing is precomputed
 // at construction, so the reservation loop stays one Timeline op per link.
 //
-// Routes for all tile pairs are precomputed; traversals cost one event.
+// Routes are walked on the fly in xy_route's order (X first, then Y), so
+// the mesh holds per-link state only, and a traversal costs one event.
 #pragma once
 
 #include <coroutine>
@@ -64,9 +65,11 @@ class Mesh {
   sim::Duration l_hop() const { return l_hop_; }
   const Topology& topology() const { return topology_; }
 
-  /// Directed links the precomputed X-Y route crosses (0 iff src == dst).
+  /// Directed links the X-Y route crosses (0 iff src == dst).
   int route_links(TileCoord src, TileCoord dst) const {
-    return static_cast<int>(route_ref(src, dst).length);
+    topology_.tile_index(src);  // bounds checks
+    topology_.tile_index(dst);
+    return Topology::manhattan(src, dst);
   }
 
   /// Total occupancy ever reserved on a directed link (for tests/reports).
@@ -76,17 +79,6 @@ class Mesh {
   std::uint64_t link_packets(LinkId link) const;
 
  private:
-  struct RouteRef {
-    std::uint32_t begin = 0;
-    std::uint32_t length = 0;
-  };
-
-  const RouteRef& route_ref(TileCoord src, TileCoord dst) const {
-    return routes_[static_cast<std::size_t>(topology_.tile_index(src)) *
-                       static_cast<std::size_t>(topology_.num_tiles()) +
-                   static_cast<std::size_t>(topology_.tile_index(dst))];
-  }
-
   sim::Engine* engine_;
   Topology topology_;
   sim::Duration l_hop_;
@@ -98,8 +90,6 @@ class Mesh {
   std::vector<sim::Duration> link_occ_;
   std::vector<sim::Duration> link_busy_;
   std::vector<std::uint64_t> link_packets_;
-  std::vector<LinkId> route_storage_;
-  std::vector<RouteRef> routes_;
 };
 
 }  // namespace ocb::noc

@@ -149,7 +149,8 @@ bool BulkOp::try_quiescent(sim::Time start) {
       const Half& h = half_[half_idx_];
       const sim::Time begin = t;
       const std::size_t index = h.base + line_ * h.stride;
-      if (h.mem && !h.write && cache_enabled_ && self_->cache().lookup(index)) {
+      if (h.mem && !h.write && cache_enabled_ &&
+          self_->cache().lookup(index / kCacheLineBytes)) {
         value_ = memory_->load(index);
         t += o_cache_hit_;
         if (observing_) {
@@ -221,7 +222,7 @@ void BulkOp::start_segment() {
   const sim::Time now = chip_->engine().now();
   seg_start_ = now;
   if (h.mem && !h.write && cache_enabled_ &&
-      self_->cache().lookup(h.base + line_ * h.stride)) {
+      self_->cache().lookup((h.base + line_ * h.stride) / kCacheLineBytes)) {
     // Cache hit: single event, like the reference's o_cache_hit sleep.
     chip_->engine().schedule_fn(now + o_cache_hit_, &hit_tramp, this);
     return;
@@ -349,7 +350,7 @@ void BulkOp::do_access(sim::Time now, bool quiescent) {
                          : chip_->observe_write(txn, value_);
     }
     if (commit) memory_->store(index, value_);
-    if (cache_enabled_) self_->cache().insert(index);
+    if (cache_enabled_) self_->cache().insert(index / kCacheLineBytes);
   } else {
     value_ = memory_->load(index);
     if (observing_) {
@@ -360,7 +361,7 @@ void BulkOp::do_access(sim::Time now, bool quiescent) {
         chip_->observe_read(txn, value_);
       }
     }
-    if (cache_enabled_) self_->cache().insert(index);
+    if (cache_enabled_) self_->cache().insert(index / kCacheLineBytes);
   }
 }
 

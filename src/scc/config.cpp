@@ -1,6 +1,7 @@
 #include "scc/config.h"
 
 #include "common/require.h"
+#include "common/types.h"
 
 namespace ocb::scc {
 
@@ -14,6 +15,8 @@ void SccConfig::validate() const {
               "enabled cache needs nonzero capacity");
   OCB_REQUIRE(private_memory_limit >= 1u << 20,
               "private memory limit unrealistically small");
+  OCB_REQUIRE(cache_capacity_lines <= private_memory_limit / kCacheLineBytes,
+              "cache capacity exceeds the private memory it caches");
 }
 
 namespace {

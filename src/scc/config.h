@@ -84,7 +84,8 @@ struct SccConfig {
   /// re-sent from cache: private-memory reads that hit skip the off-chip
   /// path. Write-allocate, LRU, write-through (writes always pay full cost).
   bool cache_enabled = true;
-  /// Capacity in cache lines (default 256 KB = the SCC's per-core L2).
+  /// Capacity in cache lines (default 256 KB = the SCC's per-core L2); at
+  /// most private_memory_limit / kCacheLineBytes.
   std::size_t cache_capacity_lines = 8192;
   /// Cost of a cache-hit line read.
   sim::Duration o_cache_hit = 6 * sim::kNanosecond;

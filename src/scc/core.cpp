@@ -1,115 +1,60 @@
 #include "scc/core.h"
 
-#include <algorithm>
-
 #include "common/require.h"
 #include "scc/chip.h"
 
 namespace ocb::scc {
 
-void DataCache::ensure_storage() {
-  if (!table_.empty()) return;
-  key_.resize(capacity_);
-  prev_.resize(capacity_);
-  next_.resize(capacity_);
-  // Power-of-two table at <= 50% load so linear probes stay short.
-  std::size_t table_size = 16;
-  while (table_size < capacity_ * 2) table_size *= 2;
-  table_.assign(table_size, kNil);
-  mask_ = table_size - 1;
+DataCache::DataCache(std::size_t capacity_lines) : capacity_(capacity_lines) {
+  OCB_REQUIRE(capacity_lines <= UINT32_MAX / 2,
+              "cache capacity beyond the stamp log's 32-bit positions");
 }
 
-std::size_t DataCache::ideal_index(std::size_t key) const {
-  // Fibonacci-style multiplicative mix; offsets are line-aligned so low
-  // bits alone carry no entropy.
-  return (key * 0x9e3779b97f4a7c15ULL >> 17) & mask_;
-}
-
-std::uint32_t DataCache::find_slot(std::size_t key) const {
-  if (table_.empty()) return kNil;
-  for (std::size_t i = ideal_index(key);; i = (i + 1) & mask_) {
-    const std::uint32_t slot = table_[i];
-    if (slot == kNil) return kNil;
-    if (key_[slot] == key) return slot;
-  }
-}
-
-void DataCache::table_insert(std::size_t key, std::uint32_t slot) {
-  std::size_t i = ideal_index(key);
-  while (table_[i] != kNil) i = (i + 1) & mask_;
-  table_[i] = slot;
-}
-
-void DataCache::table_erase(std::size_t key) {
-  std::size_t i = ideal_index(key);
-  while (key_[table_[i]] != key) i = (i + 1) & mask_;
-  // Backward-shift deletion keeps probe chains gap-free without tombstones.
-  for (std::size_t j = (i + 1) & mask_;; j = (j + 1) & mask_) {
-    const std::uint32_t slot = table_[j];
-    if (slot == kNil) break;
-    const std::size_t home = ideal_index(key_[slot]);
-    if (((j - home) & mask_) >= ((j - i) & mask_)) {
-      table_[i] = slot;
-      i = j;
+void DataCache::append(std::size_t line) {
+  if (log_.size() == 2 * capacity_) {
+    // Compact to the live entries, in order, and restamp them.
+    std::size_t kept = 0;
+    for (std::size_t i = oldest_; i < log_.size(); ++i) {
+      const std::uint32_t l = log_[i];
+      if (stamp_[l] != i + 1) continue;
+      log_[kept++] = l;
+      stamp_[l] = static_cast<std::uint32_t>(kept);
     }
+    log_.resize(kept);
+    oldest_ = 0;
   }
-  table_[i] = kNil;
+  log_.push_back(static_cast<std::uint32_t>(line));
+  stamp_[line] = static_cast<std::uint32_t>(log_.size());
 }
 
-void DataCache::lru_detach(std::uint32_t slot) {
-  const std::uint32_t p = prev_[slot];
-  const std::uint32_t n = next_[slot];
-  if (p != kNil) next_[p] = n; else head_ = n;
-  if (n != kNil) prev_[n] = p; else tail_ = p;
-}
-
-void DataCache::lru_push_front(std::uint32_t slot) {
-  prev_[slot] = kNil;
-  next_[slot] = head_;
-  if (head_ != kNil) prev_[head_] = slot;
-  head_ = slot;
-  if (tail_ == kNil) tail_ = slot;
-}
-
-bool DataCache::lookup(std::size_t offset) {
-  const std::uint32_t slot = find_slot(offset);
-  if (slot == kNil) return false;
-  if (head_ != slot) {
-    lru_detach(slot);
-    lru_push_front(slot);
-  }
+bool DataCache::lookup(std::size_t line) {
+  if (line >= stamp_.size() || stamp_[line] == 0) return false;
+  if (stamp_[line] != log_.size()) append(line);  // the MRU line stays put
   return true;
 }
 
-void DataCache::insert(std::size_t offset) {
-  if (capacity_ == 0) return;  // degenerate: everything evicts immediately
-  ensure_storage();
-  std::uint32_t slot = find_slot(offset);
-  if (slot != kNil) {  // refresh, not duplicate
-    if (head_ != slot) {
-      lru_detach(slot);
-      lru_push_front(slot);
-    }
-    return;
+void DataCache::insert(std::size_t line) {
+  // Degenerate capacity 0: everything evicts immediately. A cached line is
+  // refreshed, not duplicated.
+  if (capacity_ == 0 || lookup(line)) return;
+  if (line >= stamp_.size()) {
+    OCB_REQUIRE(line < UINT32_MAX, "line index beyond the stamp log's 32 bits");
+    stamp_.resize(line + 1);
   }
   if (size_ == capacity_) {  // evict least-recently-used
-    slot = tail_;
-    lru_detach(slot);
-    table_erase(key_[slot]);
+    while (stamp_[log_[oldest_]] != oldest_ + 1) ++oldest_;
+    stamp_[log_[oldest_++]] = 0;
   } else {
-    slot = static_cast<std::uint32_t>(size_);
     ++size_;
   }
-  key_[slot] = offset;
-  table_insert(offset, slot);
-  lru_push_front(slot);
+  append(line);
 }
 
 void DataCache::clear() {
+  for (std::size_t i = oldest_; i < log_.size(); ++i) stamp_[log_[i]] = 0;
+  log_.clear();
+  oldest_ = 0;
   size_ = 0;
-  head_ = kNil;
-  tail_ = kNil;
-  if (!table_.empty()) std::fill(table_.begin(), table_.end(), kNil);
 }
 
 Core::Core(SccChip& chip, CoreId id)
@@ -225,7 +170,7 @@ sim::Task<void> Core::mem_read_line(std::size_t offset, CacheLine& out) {
   const SccConfig& cfg = chip_->config();
   if (chip_->observing()) co_await observer_gate();
   const sim::Time t0 = now();
-  if (cfg.cache_enabled && cache_.lookup(offset)) {
+  if (cfg.cache_enabled && cache_.lookup(offset / kCacheLineBytes)) {
     co_await core_overhead(cfg.o_cache_hit);
     out = chip_->memory(id_).load(offset);
     if (chip_->observing()) {
@@ -241,7 +186,7 @@ sim::Task<void> Core::mem_read_line(std::size_t offset, CacheLine& out) {
   if (chip_->observing()) {
     chip_->observe_read({TraceOp::kMemRead, id_, id_, offset, now()}, out);
   }
-  if (cfg.cache_enabled) cache_.insert(offset);
+  if (cfg.cache_enabled) cache_.insert(offset / kCacheLineBytes);
   co_await chip_->mesh().traverse(mc_tile_, tile_);
   if (chip_->observing()) {
     chip_->observe_complete({TraceOp::kMemRead, id_, id_, offset, t0, now()});
@@ -263,7 +208,7 @@ sim::Task<void> Core::mem_write_line(std::size_t offset, CacheLine value) {
                                   value);
   }
   if (commit) chip_->memory(id_).store(offset, value);
-  if (cfg.cache_enabled) cache_.insert(offset);
+  if (cfg.cache_enabled) cache_.insert(offset / kCacheLineBytes);
   co_await chip_->mesh().traverse(mc_tile_, tile_);
   if (chip_->observing()) {
     chip_->observe_complete({TraceOp::kMemWrite, id_, id_, offset, t0, now()});

@@ -25,49 +25,40 @@ namespace ocb::scc {
 
 class SccChip;
 
-/// Write-allocate LRU set of private-memory line offsets (models the data
-/// cache keeping a just-transferred message warm; paper §5.2.2).
+/// Write-allocate LRU set of private-memory lines, keyed by line index
+/// (byte offset / kCacheLineBytes); models the data cache keeping a
+/// just-transferred message warm (paper §5.2.2).
 ///
-/// Flat storage: an intrusive doubly-linked LRU over index slots plus an
-/// open-addressing (linear-probe, backward-shift-delete) hash table. Every
-/// simulated private-memory line transaction goes through here, so the
-/// structure must not allocate per entry — node-based list/map churn and
-/// rehashing used to dominate large-broadcast simulation profiles. Arrays
-/// are allocated lazily on first insert: idle cores' caches cost nothing.
+/// A stamp log, sized by the lines a run touches rather than by capacity:
+/// `log_` records uses oldest-first, and `stamp_[line]` is 1 + the log
+/// position of the line's last use (0: absent). Exactly one entry per
+/// cached line is live (its position matches its stamp), so the LRU line
+/// is the first live entry at or after `oldest_`, and eviction skips the
+/// stale entries before it. At 2 * capacity entries the log is compacted
+/// to its live entries in order: O(1) amortized per use, no hashing, and
+/// no allocation per entry (DESIGN.md §16).
 class DataCache {
  public:
-  explicit DataCache(std::size_t capacity_lines) : capacity_(capacity_lines) {}
+  explicit DataCache(std::size_t capacity_lines);
 
   /// True (and refreshed) if the line is cached.
-  bool lookup(std::size_t offset);
+  bool lookup(std::size_t line);
 
   /// Inserts a line, evicting least-recently-used beyond capacity.
-  void insert(std::size_t offset);
+  void insert(std::size_t line);
 
   void clear();
   std::size_t size() const { return size_; }
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
-  void ensure_storage();
-  std::size_t ideal_index(std::size_t key) const;
-  /// Probe position holding `key`'s slot, or the table's npos sentinel.
-  std::uint32_t find_slot(std::size_t key) const;
-  void table_insert(std::size_t key, std::uint32_t slot);
-  void table_erase(std::size_t key);
-  void lru_detach(std::uint32_t slot);
-  void lru_push_front(std::uint32_t slot);
+  /// Logs a use of `line` as the most recent, compacting a full log.
+  void append(std::size_t line);
 
   std::size_t capacity_;
   std::size_t size_ = 0;
-  std::uint32_t head_ = kNil;
-  std::uint32_t tail_ = kNil;
-  std::size_t mask_ = 0;              // table size - 1 (power of two)
-  std::vector<std::size_t> key_;      // per LRU slot
-  std::vector<std::uint32_t> prev_;   // per LRU slot
-  std::vector<std::uint32_t> next_;   // per LRU slot
-  std::vector<std::uint32_t> table_;  // probe position -> slot or kNil
+  std::size_t oldest_ = 0;            // no live log entry precedes this
+  std::vector<std::uint32_t> stamp_;  // per line: 1 + last-use position
+  std::vector<std::uint32_t> log_;    // line of each use, oldest first
 };
 
 class Core {

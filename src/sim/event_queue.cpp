@@ -52,8 +52,7 @@ void EventQueue::insert_sorted(Bucket& b, std::uint32_t id) {
 }
 
 void EventQueue::migrate() {
-  while (!overflow_.empty() &&
-         overflow_.front().t / kBucketWidth - base_ < kBuckets) {
+  while (!overflow_.empty() && due(overflow_.front())) {
     const Event e = heap_pop(overflow_);
     insert(e, (e.t / kBucketWidth) & kMask);
   }

@@ -85,6 +85,9 @@ class EventQueue {
 
   void insert(const Event& e, std::size_t slot);
   void insert_sorted(Bucket& b, std::uint32_t id);
+  /// True if `e`'s bucket lies inside the window.
+  bool due(const Event& e) const { return e.t / kBucketWidth - base_ < kBuckets; }
+  /// Moves every due overflow event into its bucket.
   void migrate();
   std::size_t next_occupied(std::size_t from) const;
 
@@ -120,7 +123,7 @@ inline Event EventQueue::pop() {
   const std::size_t slot = next_occupied(start);
   if (slot != start) {
     base_ += (slot - start) & kMask;
-    if (!overflow_.empty()) migrate();
+    if (!overflow_.empty() && due(overflow_.front())) migrate();
   }
   Bucket& b = buckets_[slot];
   const std::uint32_t id = b.head;

@@ -2,11 +2,17 @@
 // memory-controller placement.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "noc/geometry.h"
 #include "noc/memctrl.h"
 #include "noc/mesh.h"
 #include "noc/routing.h"
+#include "noc/topology.h"
 #include "sim/engine.h"
+#include "sim/resource.h"
 
 namespace ocb::noc {
 namespace {
@@ -174,6 +180,122 @@ TEST(Mesh, RejectsBadConfig) {
   EXPECT_THROW(Mesh(e, 0, 0), PreconditionError);
   EXPECT_THROW(Mesh(e, 5000, 6000), PreconditionError);  // occupancy > L_hop
 }
+
+// Reference for Mesh::reserve_path: the route materialized by
+// xy_route_links, with its own Timelines and per-link timing derived from
+// the topology's interposer extras.
+class ReferenceMesh {
+ public:
+  ReferenceMesh(const Topology& topo, sim::Duration l_hop, sim::Duration occ)
+      : topo_(topo),
+        l_hop_(l_hop),
+        occ_(occ),
+        links_(static_cast<std::size_t>(topo.num_link_slots())),
+        busy_(links_.size(), 0),
+        packets_(links_.size(), 0) {}
+
+  sim::Time reserve_path(sim::Time departure, TileCoord src, TileCoord dst) {
+    const std::vector<TileCoord> route = xy_route(topo_, src, dst);
+    const std::vector<LinkId> links = xy_route_links(topo_, src, dst);
+    sim::Time cursor = departure;
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      const bool die = topo_.link_crosses_die(route[i], route[i + 1]);
+      const sim::Duration occ =
+          occ_ + (die ? topo_.interposer_extra_occupancy() : 0);
+      const auto l = static_cast<std::size_t>(links[i]);
+      const sim::Time start = links_[l].reserve(cursor, occ) - occ;
+      busy_[l] += occ;
+      ++packets_[l];
+      cursor = start + l_hop_ + (die ? topo_.interposer_extra_latency() : 0);
+    }
+    return cursor + l_hop_;
+  }
+
+  const std::vector<sim::Duration>& busy() const { return busy_; }
+  const std::vector<std::uint64_t>& packets() const { return packets_; }
+
+ private:
+  const Topology& topo_;
+  sim::Duration l_hop_;
+  sim::Duration occ_;
+  std::vector<sim::Timeline> links_;
+  std::vector<sim::Duration> busy_;
+  std::vector<std::uint64_t> packets_;
+};
+
+std::vector<sim::Duration> link_busy(const Mesh& mesh) {
+  std::vector<sim::Duration> out;
+  for (LinkId l = 0; l < mesh.topology().num_link_slots(); ++l) {
+    out.push_back(mesh.link_total_occupancy(l));
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> link_packets(const Mesh& mesh) {
+  std::vector<std::uint64_t> out;
+  for (LinkId l = 0; l < mesh.topology().num_link_slots(); ++l) {
+    out.push_back(mesh.link_packets(l));
+  }
+  return out;
+}
+
+class MeshDifferential : public ::testing::TestWithParam<std::string> {
+ protected:
+  static constexpr sim::Duration kHop = 5 * sim::kNanosecond;
+  static constexpr sim::Duration kOcc = 2'500 * sim::kPicosecond;
+  const Topology topo_ = Topology::parse(GetParam());
+};
+
+TEST_P(MeshDifferential, EveryPairOnAFreshMeshMatchesXyRouteLinks) {
+  sim::Engine e;
+  for (int a = 0; a < topo_.num_tiles(); ++a) {
+    for (int b = 0; b < topo_.num_tiles(); ++b) {
+      const TileCoord src = topo_.tile_coord(a);
+      const TileCoord dst = topo_.tile_coord(b);
+      Mesh mesh(e, topo_, kHop, kOcc);
+      ReferenceMesh ref(topo_, kHop, kOcc);
+      ASSERT_EQ(mesh.route_links(src, dst),
+                static_cast<int>(xy_route_links(topo_, src, dst).size()));
+      ASSERT_EQ(mesh.reserve_path(1000, src, dst), ref.reserve_path(1000, src, dst))
+          << a << " -> " << b;
+      ASSERT_EQ(link_packets(mesh), ref.packets()) << a << " -> " << b;
+      ASSERT_EQ(link_busy(mesh), ref.busy()) << a << " -> " << b;
+    }
+  }
+}
+
+TEST_P(MeshDifferential, ContendedSequenceMatchesXyRouteLinks) {
+  sim::Engine e;
+  Mesh mesh(e, topo_, kHop, kOcc);
+  ReferenceMesh ref(topo_, kHop, kOcc);
+  Xoshiro256 rng(SplitMix64(42).next());
+  const auto tiles = static_cast<std::uint64_t>(topo_.num_tiles());
+  sim::Time depart = 0;
+  int queued = 0;  // packets that arrive later than on an idle mesh
+  for (int i = 0; i < 4000; ++i) {
+    // Mostly same-instant departures, so routes pile up on shared links.
+    depart += rng.next_below(4) == 0 ? rng.next_below(3) * kOcc : 0;
+    const TileCoord src = topo_.tile_coord(static_cast<int>(rng.next_below(tiles)));
+    const TileCoord dst = topo_.tile_coord(static_cast<int>(rng.next_below(tiles)));
+    const sim::Time got = mesh.reserve_path(depart, src, dst);
+    ASSERT_EQ(got, ref.reserve_path(depart, src, dst)) << "packet " << i;
+    ReferenceMesh idle(topo_, kHop, kOcc);
+    if (got > idle.reserve_path(depart, src, dst)) ++queued;
+  }
+  EXPECT_GT(queued, 0) << "the sequence must actually contend";
+  EXPECT_EQ(link_packets(mesh), ref.packets());
+  EXPECT_EQ(link_busy(mesh), ref.busy());
+}
+
+INSTANTIATE_TEST_SUITE_P(Topologies, MeshDifferential,
+                         ::testing::Values("scc", "mesh:5x5", "dies:2x2:mesh:4x4"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == ':') c = '_';
+                           }
+                           return name;
+                         });
 
 TEST(MemCtrl, QuadrantAssignment) {
   EXPECT_EQ(mc_index_for_core(0), 0);                       // tile (0,0)

@@ -3,6 +3,10 @@
 // model identities the simulator is calibrated to.
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
+
+#include "common/rng.h"
 #include "noc/memctrl.h"
 #include "scc/chip.h"
 
@@ -53,6 +57,16 @@ TEST(SccConfig, ValidationCatchesNonsense) {
   cfg.private_memory_limit = 1024;
   EXPECT_THROW(cfg.validate(), PreconditionError);
   EXPECT_NO_THROW(SccConfig{}.validate());
+}
+
+TEST(SccConfig, CacheCannotExceedTheMemoryItCaches) {
+  SccConfig cfg;
+  cfg.private_memory_limit = 1u << 20;
+  cfg.cache_capacity_lines = cfg.private_memory_limit / kCacheLineBytes;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.cache_capacity_lines += 1;
+  EXPECT_THROW(cfg.validate(), PreconditionError);
+  EXPECT_THROW(SccChip{cfg}, PreconditionError);
 }
 
 TEST(SccChip, WiringAccessorsBoundsChecked) {
@@ -331,6 +345,116 @@ TEST(DataCache, ReinsertRefreshes) {
   EXPECT_TRUE(cache.lookup(1));
   EXPECT_FALSE(cache.lookup(2));
 }
+
+// Reference LRU for the differential tests: a list in recency order (front
+// is most recent) plus a map from line to list node.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  bool lookup(std::size_t line) {
+    const auto it = where_.find(line);
+    if (it == where_.end()) return false;
+    order_.splice(order_.begin(), order_, it->second);
+    return true;
+  }
+
+  void insert(std::size_t line) {
+    if (capacity_ == 0 || lookup(line)) return;
+    if (order_.size() == capacity_) {
+      where_.erase(order_.back());
+      order_.pop_back();
+    }
+    order_.push_front(line);
+    where_[line] = order_.begin();
+  }
+
+  void clear() {
+    order_.clear();
+    where_.clear();
+  }
+
+  std::size_t size() const { return order_.size(); }
+
+ private:
+  std::size_t capacity_;
+  std::list<std::size_t> order_;
+  std::unordered_map<std::size_t, std::list<std::size_t>::iterator> where_;
+};
+
+enum class Trace { kSequential, kRandom, kHitHeavy };
+
+// Drives a DataCache and the reference through the same seeded trace and
+// requires identical lookup results and sizes at every step.
+void expect_matches_reference(std::size_t capacity, Trace trace, int steps) {
+  SCOPED_TRACE(::testing::Message() << "capacity " << capacity << ", trace "
+                                    << static_cast<int>(trace));
+  DataCache cache(capacity);
+  ReferenceLru ref(capacity);
+  Xoshiro256 rng(SplitMix64(capacity * 7 + static_cast<std::uint64_t>(trace)).next());
+  std::size_t run_base = 0;
+  std::size_t run_length = 0;
+  std::size_t run_pos = 0;
+  for (int step = 0; step < steps; ++step) {
+    if (step % 9973 == 9972) {  // a few clears per trace
+      cache.clear();
+      ref.clear();
+      ASSERT_EQ(cache.size(), 0u);
+    }
+    std::size_t line = 0;
+    bool insert = false;
+    switch (trace) {
+      case Trace::kSequential: {
+        // Write a run of consecutive lines, then read it back: the
+        // broadcast's store-then-forward pattern.
+        if (run_pos == 2 * run_length) {
+          run_base = rng.next_below(4 * capacity + 8);
+          run_length = 1 + rng.next_below(capacity + 2);
+          run_pos = 0;
+        }
+        insert = run_pos < run_length;
+        line = run_base + run_pos % run_length;
+        ++run_pos;
+        break;
+      }
+      case Trace::kRandom:
+        line = rng.next_below(2 * capacity + 2);
+        insert = rng.next_below(2) == 0;
+        break;
+      case Trace::kHitHeavy:
+        // A working set one line above capacity, mostly re-read: nearly
+        // every step appends to the log, so it compacts many times over.
+        line = rng.next_below(capacity + 1);
+        insert = rng.next_below(10) == 0;
+        break;
+    }
+    if (insert) {
+      cache.insert(line);
+      ref.insert(line);
+    } else {
+      ASSERT_EQ(cache.lookup(line), ref.lookup(line))
+          << "step " << step << ", line " << line;
+    }
+    ASSERT_EQ(cache.size(), ref.size()) << "step " << step;
+  }
+}
+
+class DataCacheDifferential : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DataCacheDifferential, SequentialRunsMatchReference) {
+  expect_matches_reference(GetParam(), Trace::kSequential, 120'000);
+}
+
+TEST_P(DataCacheDifferential, RandomLinesMatchReference) {
+  expect_matches_reference(GetParam(), Trace::kRandom, 120'000);
+}
+
+TEST_P(DataCacheDifferential, HitHeavyTracesMatchReference) {
+  expect_matches_reference(GetParam(), Trace::kHitHeavy, 120'000);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, DataCacheDifferential,
+                         ::testing::Values(1, 2, 3, 8192));
 
 }  // namespace
 }  // namespace ocb::scc
