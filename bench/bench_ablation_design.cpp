@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <map>
+#include <string>
 
 #include "common/format.h"
 #include "harness/report.h"
@@ -25,42 +26,40 @@ using namespace ocb;
 
 struct Variant {
   const char* name;
-  core::BcastSpec spec;
+  std::string algorithm;  ///< registry name (coll/registry.h)
+  coll::Params params;
+
+  std::string label() const { return harness::spec_label(algorithm, params); }
 };
 
 std::vector<Variant> variants() {
   std::vector<Variant> out;
   for (int k : {2, 3, 5, 7, 11, 16, 24, 32, 47}) {
-    core::BcastSpec s;
-    s.k = k;
-    out.push_back({"fanout", s});
+    coll::Params p;
+    p.k = k;
+    out.push_back({"fanout", "ocbcast", p});
   }
   {
-    core::BcastSpec s;  // double buffering (default): 2 x 96
-    out.push_back({"buffering_db96x2", s});
-    s.double_buffering = false;
-    s.chunk_lines = 192;
-    out.push_back({"buffering_single192", s});
+    coll::Params p;  // double buffering (default): 2 x 96
+    out.push_back({"buffering_db96x2", "ocbcast", p});
+    p.double_buffering = false;
+    p.chunk_lines = 192;
+    out.push_back({"buffering_single192", "ocbcast", p});
   }
   {
-    core::BcastSpec s;
-    s.leaf_direct_to_memory = true;
-    out.push_back({"leaf_direct", s});
+    coll::Params p;
+    p.leaf_direct_to_memory = true;
+    out.push_back({"leaf_direct", "ocbcast", p});
   }
   for (int k : {7, 16, 47}) {
-    core::BcastSpec s;
-    s.k = k;
-    s.sequential_notification = true;
-    out.push_back({"seq_notify", s});
+    coll::Params p;
+    p.k = k;
+    p.sequential_notification = true;
+    out.push_back({"seq_notify", "ocbcast", p});
   }
-  {
-    // §5.4's alternative RMA design and its two-sided original.
-    core::BcastSpec s;
-    s.kind = core::BcastKind::kOneSidedScatterAllgather;
-    out.push_back({"onesided_sag", s});
-    s.kind = core::BcastKind::kScatterAllgather;
-    out.push_back({"twosided_sag", s});
-  }
+  // §5.4's alternative RMA design and its two-sided original.
+  out.push_back({"onesided_sag", "onesided-sag", coll::Params{}});
+  out.push_back({"twosided_sag", "scatter-allgather", coll::Params{}});
   return out;
 }
 
@@ -71,15 +70,16 @@ struct Metrics {
   double peak_mbps = 0.0;          // 8192 lines
 };
 
-const Metrics& metrics_for(const core::BcastSpec& spec) {
+const Metrics& metrics_for(const Variant& v) {
   static std::map<std::string, Metrics> cache;
-  const std::string key = core::spec_label(spec) + std::to_string(spec.chunk_lines);
+  const std::string key = v.label() + std::to_string(v.params.chunk_lines);
   auto it = cache.find(key);
   if (it == cache.end()) {
     Metrics m;
     auto run = [&](std::size_t lines) {
       harness::BcastRunSpec r;
-      r.algorithm = spec;
+      r.algorithm_name = v.algorithm;
+      r.params = v.params;
       r.message_bytes = lines * kCacheLineBytes;
       r.iterations = harness::default_iterations(lines);
       return run_broadcast(r);
@@ -95,14 +95,14 @@ const Metrics& metrics_for(const core::BcastSpec& spec) {
 
 void bench_variant(benchmark::State& state, const Variant& v) {
   for (auto _ : state) {
-    const Metrics& m = metrics_for(v.spec);
+    const Metrics& m = metrics_for(v);
     state.SetIterationTime(m.medium_latency_us * 1e-6);
     state.counters["lat1_us"] = m.small_latency_us;
     state.counters["lat96_us"] = m.medium_latency_us;
     state.counters["lat192_us"] = m.two_chunk_latency_us;
     state.counters["peak_mbps"] = m.peak_mbps;
   }
-  state.SetLabel(std::string(v.name) + "/" + core::spec_label(v.spec));
+  state.SetLabel(std::string(v.name) + "/" + v.label());
 }
 
 void print_tables() {
@@ -110,12 +110,12 @@ void print_tables() {
                    "latency_192CL_us", "peak_MBps"});
   std::vector<std::vector<std::string>> csv;
   for (const Variant& v : variants()) {
-    const Metrics& m = metrics_for(v.spec);
-    table.add_row({v.name, core::spec_label(v.spec),
+    const Metrics& m = metrics_for(v);
+    table.add_row({v.name, v.label(),
                    fmt_fixed(m.small_latency_us, 2),
                    fmt_fixed(m.medium_latency_us, 2),
                    fmt_fixed(m.two_chunk_latency_us, 2), fmt_fixed(m.peak_mbps, 2)});
-    csv.push_back({v.name, core::spec_label(v.spec),
+    csv.push_back({v.name, v.label(),
                    fmt_fixed(m.small_latency_us, 4),
                    fmt_fixed(m.medium_latency_us, 4),
                    fmt_fixed(m.two_chunk_latency_us, 4), fmt_fixed(m.peak_mbps, 4)});
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
   static const std::vector<Variant> kVariants = variants();
   for (const Variant& v : kVariants) {
     benchmark::RegisterBenchmark(
-        (std::string("ablation/") + v.name + "/" + core::spec_label(v.spec)).c_str(),
+        (std::string("ablation/") + v.name + "/" + v.label()).c_str(),
         [&v](benchmark::State& state) { bench_variant(state, v); })
         ->UseManualTime()
         ->Iterations(1);

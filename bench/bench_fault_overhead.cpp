@@ -45,8 +45,8 @@ struct Point {
 // iterations, rotating offsets, byte verification).
 Point zero_fault_point(bool ft, std::size_t lines) {
   harness::BcastRunSpec run;
-  run.algorithm.kind = ft ? core::BcastKind::kFtOcBcast : core::BcastKind::kOcBcast;
-  run.algorithm.k = 7;
+  run.algorithm_name = ft ? "ft-ocbcast" : "ocbcast";
+  run.params.k = 7;
   run.message_bytes = lines * kCacheLineBytes;
   run.iterations = harness::default_iterations(lines);
   const harness::BcastRunResult r = run_broadcast(run);

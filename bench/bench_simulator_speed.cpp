@@ -105,7 +105,6 @@ struct WorkloadRecord {
   /// observer chain; bulk_fallback_lines counts per-line replays.
   std::uint64_t bulk_ops = 0;
   std::uint64_t bulk_ops_observed = 0;
-  std::uint64_t bulk_quiescent_ops = 0;
   std::uint64_t bulk_fallback_ops = 0;
   std::uint64_t bulk_fallback_lines = 0;
 };
@@ -113,7 +112,6 @@ struct WorkloadRecord {
 void copy_bulk_stats(WorkloadRecord& w, const harness::BcastRunResult& r) {
   w.bulk_ops = r.bulk_ops;
   w.bulk_ops_observed = r.bulk_ops_observed;
-  w.bulk_quiescent_ops = r.bulk_quiescent_ops;
   w.bulk_fallback_ops = r.bulk_fallback_ops;
   w.bulk_fallback_lines = r.bulk_fallback_lines;
 }
@@ -148,7 +146,6 @@ WorkloadRecord best_of(const std::string& name, int max_reps, Fn&& once) {
     w.frame_reuses = r.frame_reuses;
     w.bulk_ops = r.bulk_ops;
     w.bulk_ops_observed = r.bulk_ops_observed;
-    w.bulk_quiescent_ops = r.bulk_quiescent_ops;
     w.bulk_fallback_ops = r.bulk_fallback_ops;
     w.bulk_fallback_lines = r.bulk_fallback_lines;
   }
@@ -197,8 +194,7 @@ WorkloadRecord run_ocbcast_dies_workload() {
   return best_of("ocbcast_1024core_dies2x2", 3, [] {
     harness::BcastRunSpec spec = ocbcast_spec(96);
     spec.config.topology = noc::Topology::parse("dies:2x2:mesh:16x8");
-    spec.algorithm_name = "ocbcast";  // `params` apply to registry runs only
-    spec.params.parties = 0;          // all 1024 cores
+    spec.params.parties = 0;  // all 1024 cores
     const harness::BcastRunResult r = run_broadcast(spec);
     WorkloadRecord w;
     w.events = r.events;
@@ -212,9 +208,9 @@ WorkloadRecord run_ocbcast_dies_workload() {
 
 // The same 1024-line broadcast with the ocb::check race checker installed:
 // vector-clock bookkeeping on every MPB access, i.e. the cost of running
-// "checked". The checker is bulk-capable (scc/observer.h), so coalesced
-// ops deliver one batched on_bulk instead of 2*lines per-line callbacks.
-// Compare against ocbcast_1024 to see the overhead.
+// "checked". The checker is passive (scc/observer.h), so coalesced ops
+// stay on and deliver it the live per-line callbacks. Compare against
+// ocbcast_1024 to see the overhead.
 WorkloadRecord run_ocbcast_checked_workload() {
   return best_of("ocbcast_1024_checked", 10, [] {
     harness::BcastRunSpec spec = ocbcast_spec(1024);
@@ -231,10 +227,9 @@ WorkloadRecord run_ocbcast_checked_workload() {
 }
 
 // The same broadcast with a JsonTraceCollector sink installed: every
-// transaction is recorded as a TraceEvent (the legacy per-line stream, so
-// the rendered bytes stay identical to a chain-off run; the span-style
-// bulk sink is a separate opt-in). The collector is cleared between
-// repetitions so memory stays bounded.
+// transaction is recorded as a TraceEvent (the per-line stream, so the
+// rendered bytes stay identical to a chain-off run). Each repetition uses
+// a fresh collector, so memory stays bounded.
 WorkloadRecord run_ocbcast_traced_workload() {
   return best_of("ocbcast_1024_traced", 10, [] {
     harness::BcastSession session(ocbcast_spec(1024));
@@ -291,7 +286,6 @@ WorkloadRecord run_service_workload() {
     w.max_queue_depth = m.engine_max_queue_depth;
     w.bulk_ops = m.bulk_ops;
     w.bulk_ops_observed = m.bulk_ops_observed;
-    w.bulk_quiescent_ops = m.bulk_quiescent_ops;
     w.bulk_fallback_ops = m.bulk_fallback_ops;
     w.bulk_fallback_lines = m.bulk_fallback_lines;
     return w;
@@ -329,7 +323,6 @@ void append_record(std::ostringstream& out, const WorkloadRecord& w,
       << "      \"frame_reuses\": " << w.frame_reuses << ",\n"
       << "      \"bulk_ops\": " << w.bulk_ops << ",\n"
       << "      \"bulk_ops_observed\": " << w.bulk_ops_observed << ",\n"
-      << "      \"bulk_quiescent_ops\": " << w.bulk_quiescent_ops << ",\n"
       << "      \"bulk_fallback_ops\": " << w.bulk_fallback_ops << ",\n"
       << "      \"bulk_fallback_lines\": " << w.bulk_fallback_lines << "\n"
       << "    }" << (last ? "\n" : ",\n");
@@ -359,7 +352,7 @@ int json_out_mode(const std::string& path) {
   records.push_back(run_fault_sweep_workload());
 
   std::ostringstream out;
-  out << "{\n  \"schema\": \"ocb-bench-simulator-speed-v5\",\n"
+  out << "{\n  \"schema\": \"ocb-bench-simulator-speed-v6\",\n"
       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n"
       << "  \"workloads\": [\n";

@@ -143,53 +143,6 @@ bool RaceChecker::on_write(const scc::LineTxn& txn, CacheLine& /*value*/) {
   return true;
 }
 
-// Batched delivery for one quiescent coalesced op. Processes the op's MPB
-// accesses in the exact per-line order (line-major, source half before
-// destination half) so seq allocation — and therefore every verdict and
-// its provenance — matches the reference stream bit for bit. The early
-// outs replicate the per-line filters: mem halves never reach the checker
-// (single-core address space), optimistic reads and sync lines are
-// skipped BEFORE a seq is allocated, exactly as on_read/on_write do. The
-// issuing core's epoch, stage, and optimistic flag are hoisted: nothing
-// mid-op can change them (only the core's own sync operations do, and the
-// quiescent regime means nothing else is runnable).
-void RaceChecker::on_bulk(const scc::BulkTxn& txn) {
-  const auto core = static_cast<std::size_t>(txn.core);
-  const std::uint64_t epoch = clocks_[core][core];
-  const char* stage = chip_->core(txn.core).stage();
-  const bool optimistic = optimistic_[core];
-  // Per-half skip decisions, hoisted out of the line loop.
-  bool checked[2];
-  bool is_write[2];
-  for (int hi = 0; hi < 2; ++hi) {
-    const scc::BulkHalfDesc& h = txn.half[hi];
-    is_write[hi] = h.op == scc::TraceOp::kMpbWrite;
-    checked[hi] = !h.mem && (is_write[hi] || !optimistic);
-  }
-  if (!checked[0] && !checked[1]) return;
-  for (std::size_t l = 0; l < txn.lines; ++l) {
-    for (int hi = 0; hi < 2; ++hi) {
-      if (!checked[hi]) continue;
-      const scc::BulkHalfDesc& h = txn.half[hi];
-      const std::size_t index = h.base + l * h.stride;
-      LineState& ls = line_state(h.target, index);
-      if (ls.sync) continue;
-      Access a;
-      a.core = txn.core;
-      a.epoch = epoch;
-      a.seq = next_seq_++;
-      a.time = txn.schedule[l * 2 + static_cast<std::size_t>(hi)].access;
-      a.op = h.op;
-      a.stage = stage;
-      if (is_write[hi]) {
-        check_write(ls, h.target, index, a);
-      } else {
-        check_read(ls, h.target, index, a);
-      }
-    }
-  }
-}
-
 void RaceChecker::on_sync(const scc::SyncEvent& event) {
   switch (event.op) {
     case scc::SyncOp::kHostInit: {

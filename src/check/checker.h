@@ -104,20 +104,9 @@ class RaceChecker final : public scc::TransactionObserver {
   void on_crash(CoreId core, sim::Time now) override;
 
   // Capability model (scc/observer.h): the checker is passive — it never
-  // mutates a value, vetoes a commit, or gates a core — and it opts out of
-  // all per-line delivery on the quiescent fast path: one batched on_bulk
-  // per coalesced op processes the op's MPB accesses with the issuing
-  // core's epoch, stage, and optimistic flag hoisted out of the line loop
-  // (they cannot change mid-op: only the core's own sync operations touch
-  // them, and the op is the only thing running). Seqs are allocated in the
-  // exact per-line access order, so verdicts and provenance are
-  // bit-identical to the reference stream. On a busy chip the parity chain
-  // dispatches the live per-line callbacks as before.
+  // mutates a value, vetoes a commit, or gates a core — so coalesced ops
+  // stay on and deliver it the live per-line stream at reference instants.
   bool is_passive() const override { return true; }
-  bool needs_per_line_reads() const override { return false; }
-  bool needs_per_line_writes() const override { return false; }
-  bool needs_per_line_completes() const override { return false; }
-  void on_bulk(const scc::BulkTxn& txn) override;
 
  private:
   using VectorClock = std::array<std::uint64_t, kNumCores>;
@@ -204,9 +193,9 @@ class RaceChecker final : public scc::TransactionObserver {
   void record(Violation::Kind kind, CoreId owner, std::size_t line,
               const Access& first, const Access& second);
   Access make_access(const scc::LineTxn& txn);
-  /// The shared DJIT+ hot path, identical for per-line and batched
-  /// delivery: conflict checks against the line's last write / read set,
-  /// then the (semantics-bearing) eager read-set prune or write update.
+  /// The DJIT+ hot path: conflict checks against the line's last write /
+  /// read set, then the (semantics-bearing) eager read-set prune or write
+  /// update.
   void check_read(LineState& ls, CoreId owner, std::size_t line,
                   const Access& a);
   void check_write(LineState& ls, CoreId owner, std::size_t line,

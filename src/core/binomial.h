@@ -12,8 +12,9 @@
 
 #include <memory>
 
-#include "core/bcast.h"
+#include "coll/collective.h"
 #include "rma/twosided.h"
+#include "scc/chip.h"
 
 namespace ocb::core {
 
@@ -22,7 +23,7 @@ struct BinomialOptions {
   rma::TwoSidedLayout layout{};
 };
 
-class BinomialBcast final : public BroadcastAlgorithm {
+class BinomialBcast final : public coll::Collective {
  public:
   BinomialBcast(scc::SccChip& chip, BinomialOptions options = {});
 

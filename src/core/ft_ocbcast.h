@@ -49,10 +49,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/bcast.h"
+#include "coll/collective.h"
 #include "core/tree.h"
 #include "rma/barrier.h"
 #include "rma/reliable.h"
+#include "scc/chip.h"
 
 namespace ocb::core {
 
@@ -85,7 +86,7 @@ struct DeliveryReport {
   std::uint64_t substituted_acks = 0;   ///< dead-child acks read from its MPB
 };
 
-class FtOcBcast final : public BroadcastAlgorithm {
+class FtOcBcast final : public coll::Collective {
  public:
   FtOcBcast(scc::SccChip& chip, FtOcBcastOptions options = {});
 

@@ -40,8 +40,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/bcast.h"
+#include "coll/collective.h"
 #include "rma/barrier.h"
+#include "scc/chip.h"
 
 namespace ocb::core {
 
@@ -55,7 +56,7 @@ struct HierarchicalBcastOptions {
   std::size_t mpb_base_line = 0;
 };
 
-class HierarchicalBcast final : public BroadcastAlgorithm {
+class HierarchicalBcast final : public coll::Collective {
  public:
   HierarchicalBcast(scc::SccChip& chip, HierarchicalBcastOptions options = {});
 

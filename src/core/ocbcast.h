@@ -31,10 +31,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/bcast.h"
+#include "coll/collective.h"
 #include "core/tree.h"
 #include "rma/barrier.h"
 #include "rma/flags.h"
+#include "scc/chip.h"
 
 namespace ocb::core {
 
@@ -51,7 +52,7 @@ struct OcBcastOptions {
   std::size_t mpb_base_line = 0;       ///< first MPB line used by the layout
 };
 
-class OcBcast final : public BroadcastAlgorithm {
+class OcBcast final : public coll::Collective {
  public:
   OcBcast(scc::SccChip& chip, OcBcastOptions options = {});
 

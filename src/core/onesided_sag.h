@@ -51,9 +51,10 @@
 
 #include <array>
 
-#include "core/bcast.h"
+#include "coll/collective.h"
 #include "rma/barrier.h"
 #include "rma/flags.h"
+#include "scc/chip.h"
 
 namespace ocb::core {
 
@@ -63,7 +64,7 @@ struct OneSidedSagOptions {
   std::size_t mpb_base_line = 0;
 };
 
-class OneSidedScatterAllgather final : public BroadcastAlgorithm {
+class OneSidedScatterAllgather final : public coll::Collective {
  public:
   OneSidedScatterAllgather(scc::SccChip& chip, OneSidedSagOptions options = {});
 

@@ -16,8 +16,9 @@
 
 #include <memory>
 
-#include "core/bcast.h"
+#include "coll/collective.h"
 #include "rma/twosided.h"
+#include "scc/chip.h"
 
 namespace ocb::core {
 
@@ -26,7 +27,7 @@ struct ScatterAllgatherOptions {
   rma::TwoSidedLayout layout{};
 };
 
-class ScatterAllgatherBcast final : public BroadcastAlgorithm {
+class ScatterAllgatherBcast final : public coll::Collective {
  public:
   ScatterAllgatherBcast(scc::SccChip& chip, ScatterAllgatherOptions options = {});
 

@@ -9,23 +9,21 @@ FaultInjector::FaultInjector(FaultPlan plan)
       rng_(SplitMix64(plan_.seed ^ 0xFA17B0A7ULL).next()),
       stall_applied_(plan_.stalls.size(), false),
       crash_reported_(plan_.crashes.size(), false) {
-  // Pre-sample the plan's per-line needs and per-core gate effects once
-  // (the plan is immutable for the injector's lifetime; see injector.h).
-  // The injector's gate table is dimensioned for the SCC; fault plans on
-  // larger topologies would need a dynamic table and are rejected early.
+  // Per-core gate effects, computed once (the plan is immutable for the
+  // injector's lifetime; see injector.h).
+  auto mark = [this](CoreId core) {
+    const auto i = static_cast<std::size_t>(core);
+    if (i >= timing_faults_.size()) timing_faults_.resize(i + 1, false);
+    timing_faults_[i] = true;
+  };
   for (const StallInterval& s : plan_.stalls) {
-    OCB_REQUIRE(s.core >= 0 && s.core < kNumCores,
-                "fault plan stall core out of the injector's range");
-    timing_faults_[static_cast<std::size_t>(s.core)] = true;
+    OCB_REQUIRE(s.core >= 0, "fault plan stall core is negative");
+    mark(s.core);
   }
   for (const FailStop& f : plan_.crashes) {
-    OCB_REQUIRE(f.core >= 0 && f.core < kNumCores,
-                "fault plan crash core out of the injector's range");
-    timing_faults_[static_cast<std::size_t>(f.core)] = true;
+    OCB_REQUIRE(f.core >= 0, "fault plan crash core is negative");
+    mark(f.core);
   }
-  perline_reads_ = plan_.rates.mpb_read > 0.0 || plan_.rates.mem_read > 0.0;
-  perline_writes_ = plan_.rates.mpb_write > 0.0 ||
-                    plan_.rates.mem_write > 0.0 || !plan_.stuck_lines.empty();
 }
 
 bool FaultInjector::crashed(CoreId core, sim::Time now) {

@@ -14,7 +14,6 @@
 //   chip.add_observer(&injector);         // non-owning; outlive the run
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "common/rng.h"
@@ -36,25 +35,17 @@ class FaultInjector final : public scc::TransactionObserver {
   void on_read(const scc::LineTxn& txn, CacheLine& value) override;
   bool on_write(const scc::LineTxn& txn, CacheLine& value) override;
 
-  // Capability model (scc/observer.h): the injector is bulk-capable. Its
-  // per-line needs are pre-sampled from the plan at construction — a plan
-  // with no read (write) corruption rates never draws on reads (writes),
-  // so skipping those callbacks on the quiescent path leaves the rng
-  // stream untouched; any nonzero rate forces per-line replay so draws
-  // happen one per at-risk transaction in exact reference order. Cores
-  // with a planned stall or crash report their bulk window unclear, which
-  // routes exactly the perturbed cores through the gated per-line path.
+  // Capability model (scc/observer.h): the injector is bulk-capable.
+  // Coalesced ops deliver its per-line on_read/on_write live in reference
+  // order, so rng draws happen one per at-risk transaction exactly as on
+  // the per-line path. Cores with a planned stall or crash report their
+  // bulk window unclear, which routes exactly the perturbed cores through
+  // the gated per-line path; cores past the end of the table have none.
   bool supports_bulk() const override { return true; }
-  bool needs_per_line_reads() const override { return perline_reads_; }
-  bool needs_per_line_writes() const override { return perline_writes_; }
-  bool needs_per_line_completes() const override { return false; }
   bool bulk_window_clear(CoreId core, sim::Time /*now*/) override {
-    return !timing_faults_[static_cast<std::size_t>(core)];
+    const auto i = static_cast<std::size_t>(core);
+    return i >= timing_faults_.size() || !timing_faults_[i];
   }
-  /// Reached only when every per-line need is false (zero rates, no stuck
-  /// lines): a per-line replay would draw and mutate nothing, so the
-  /// batched notification is deliberately a no-op.
-  void on_bulk(const scc::BulkTxn& /*txn*/) override {}
 
  private:
   double rate_for(scc::TraceOp op) const;
@@ -66,9 +57,9 @@ class FaultInjector final : public scc::TransactionObserver {
   InjectionStats stats_;
   std::vector<bool> stall_applied_;    // parallel to plan_.stalls
   std::vector<bool> crash_reported_;   // parallel to plan_.crashes
-  std::array<bool, kNumCores> timing_faults_{};  // any planned stall/crash
-  bool perline_reads_ = false;   // any read-corruption rate > 0
-  bool perline_writes_ = false;  // any write rate > 0 or stuck lines
+  /// Per core: any planned stall/crash. Sized to the plan's largest such
+  /// core id + 1, so it fits any topology.
+  std::vector<bool> timing_faults_;
 };
 
 }  // namespace ocb::fault

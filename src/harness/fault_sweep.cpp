@@ -50,7 +50,7 @@ FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
   // Two algorithm arms sharing shape parameters (FT vs plain control).
   std::unique_ptr<core::FtOcBcast> ft;
   std::unique_ptr<core::OcBcast> plain;
-  core::BroadcastAlgorithm* algo;
+  coll::Collective* algo;
   if (spec.use_ft) {
     ft = std::make_unique<core::FtOcBcast>(chip, spec.ft);
     algo = ft.get();

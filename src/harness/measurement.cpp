@@ -39,9 +39,7 @@ void fill_pattern(std::span<std::byte> region, std::uint64_t seed) {
 BcastSession::BcastSession(const BcastRunSpec& spec)
     : spec_(spec),
       chip_(std::make_unique<scc::SccChip>(spec_.config)),
-      algo_(spec.algorithm_name.empty()
-                ? core::make_broadcast(*chip_, spec.algorithm)
-                : coll::make(spec.algorithm_name, *chip_, spec.params)) {
+      algo_(coll::make(spec.algorithm_name, *chip_, spec.params)) {
   OCB_REQUIRE(spec_.message_bytes > 0, "empty message");
   OCB_REQUIRE(spec_.iterations >= 1, "need at least one measured iteration");
   OCB_REQUIRE(spec_.warmup >= 0, "negative warmup");
@@ -86,7 +84,7 @@ BcastRunResult BcastSession::run() {
       static_cast<std::size_t>(total),
       std::vector<sim::Time>(static_cast<std::size_t>(parties), 0));
 
-  core::BroadcastAlgorithm* algo = algo_.get();
+  coll::Collective* algo = algo_.get();
   for (CoreId c = 0; c < parties; ++c) {
     chip.spawn(c, [&, algo, total](scc::Core& me) -> sim::Task<void> {
       for (int it = 0; it < total; ++it) {
@@ -119,7 +117,6 @@ BcastRunResult BcastSession::run() {
   out.frame_reuses = run.frame_reuses;
   out.bulk_ops = run.bulk_ops;
   out.bulk_ops_observed = run.bulk_ops_observed;
-  out.bulk_quiescent_ops = run.bulk_quiescent_ops;
   out.bulk_fallback_ops = run.bulk_fallback_ops;
   out.bulk_fallback_lines = run.bulk_fallback_lines;
   for (int it = spec_.warmup; it < total; ++it) {

@@ -22,7 +22,6 @@
 
 #include "coll/registry.h"
 #include "common/stats.h"
-#include "core/bcast.h"
 #include "scc/chip.h"
 #include "scc/config.h"
 
@@ -33,10 +32,8 @@ class RaceChecker;
 namespace ocb::harness {
 
 struct BcastRunSpec {
-  core::BcastSpec algorithm{};
-  /// Registry-keyed selection (coll/registry.h); when non-empty it wins
-  /// over `algorithm`, and `params` configures the chosen factory.
-  std::string algorithm_name{};
+  /// Registry-keyed algorithm (coll/registry.h), configured by `params`.
+  std::string algorithm_name = "ocbcast";
   coll::Params params{};
   scc::SccConfig config{};
   CoreId root = 0;
@@ -65,16 +62,14 @@ struct BcastRunResult {
   /// Race-checker results for this run() call (spec.check / OCB_CHECK).
   std::uint64_t race_violations = 0;
   std::string race_report{};
-  /// Observer-batching statistics for this run() call (nonzero only in
+  /// Fast-path statistics for this run() call (nonzero only in
   /// OCB_SIM_STATS builds): coalesced ops launched, ops launched while an
   /// observer chain was installed (the fast path the capability model
-  /// keeps open), ops that booked closed-form in the quiescent regime,
-  /// and ops (with their line count) that fell back to the per-line path
-  /// because an observer's bulk window was closed or the BulkOp pool was
-  /// exhausted.
+  /// keeps open), and ops (with their line count) that fell back to the
+  /// per-line path because an observer's bulk window was closed or the
+  /// BulkOp pool was exhausted.
   std::uint64_t bulk_ops = 0;
   std::uint64_t bulk_ops_observed = 0;
-  std::uint64_t bulk_quiescent_ops = 0;
   std::uint64_t bulk_fallback_ops = 0;
   std::uint64_t bulk_fallback_lines = 0;
 };
@@ -106,7 +101,7 @@ class BcastSession {
  private:
   BcastRunSpec spec_;
   std::unique_ptr<scc::SccChip> chip_;
-  std::unique_ptr<core::BroadcastAlgorithm> algo_;
+  std::unique_ptr<coll::Collective> algo_;
   std::unique_ptr<check::RaceChecker> checker_;
   int next_slot_ = 0;  ///< first unused iteration slot (offset cursor)
   std::uint64_t events_seen_ = 0;  ///< cumulative engine count already reported

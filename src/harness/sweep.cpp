@@ -46,21 +46,34 @@ int default_iterations(std::size_t lines) {
   return 2;
 }
 
-std::vector<core::BcastSpec> paper_algorithm_lineup() {
-  std::vector<core::BcastSpec> specs;
+std::vector<std::pair<std::string, coll::Params>> paper_algorithm_lineup() {
+  std::vector<std::pair<std::string, coll::Params>> lineup;
   for (int k : {2, 7, 47}) {
-    core::BcastSpec s;
-    s.kind = core::BcastKind::kOcBcast;
-    s.k = k;
-    specs.push_back(s);
+    coll::Params p;
+    p.k = k;
+    lineup.emplace_back("ocbcast", p);
   }
-  core::BcastSpec binomial;
-  binomial.kind = core::BcastKind::kBinomial;
-  specs.push_back(binomial);
-  core::BcastSpec sag;
-  sag.kind = core::BcastKind::kScatterAllgather;
-  specs.push_back(sag);
-  return specs;
+  lineup.emplace_back("binomial", coll::Params{});
+  lineup.emplace_back("scatter-allgather", coll::Params{});
+  return lineup;
+}
+
+std::string spec_label(const std::string& name, const coll::Params& params) {
+  if (name == "ocbcast") {
+    std::string label = "k=" + std::to_string(params.k);
+    if (!params.double_buffering) label += " (1buf)";
+    if (params.leaf_direct_to_memory) label += " (leaf-direct)";
+    if (params.sequential_notification) label += " (seq-notify)";
+    return label;
+  }
+  if (name == "ft-ocbcast") {
+    std::string label = "ft k=" + std::to_string(params.k);
+    if (!params.double_buffering) label += " (1buf)";
+    return label;
+  }
+  if (name == "scatter-allgather") return "s-ag";
+  if (name == "onesided-sag") return "os-sag";
+  return name;
 }
 
 }  // namespace ocb::harness

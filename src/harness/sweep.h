@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/measurement.h"
@@ -39,8 +40,13 @@ std::vector<std::size_t> large_message_sizes();
 /// against statistics (warmup handled separately by BcastRunSpec).
 int default_iterations(std::size_t lines);
 
-/// The algorithm line-up of Figures 6 and 8: OC-Bcast k=2/7/47, binomial,
-/// scatter-allgather.
-std::vector<core::BcastSpec> paper_algorithm_lineup();
+/// The algorithm line-up of Figures 6 and 8 as (registry name, params)
+/// pairs: OC-Bcast k=2/7/47, binomial, scatter-allgather.
+std::vector<std::pair<std::string, coll::Params>> paper_algorithm_lineup();
+
+/// Short display name for a registry algorithm and its params ("k=7",
+/// "binomial", "s-ag", ...), matching the paper's figure legends; names
+/// without a legend entry label as themselves.
+std::string spec_label(const std::string& name, const coll::Params& params);
 
 }  // namespace ocb::harness

@@ -42,8 +42,7 @@ class MpbStorage {
   sim::Trigger& line_trigger(std::size_t line);
 
   /// True if a coroutine is currently parked on `line`'s trigger. Cheap
-  /// peek (no trigger creation); the quiescent-chip RMA fast path uses it
-  /// to prove a coalesced store cannot wake anyone mid-window.
+  /// peek (no trigger creation).
   bool line_has_waiters(std::size_t line) const {
     return triggers_[line] != nullptr && triggers_[line]->waiter_count() > 0;
   }

@@ -3,57 +3,39 @@
 // The per-line path (rma/rma.cpp over scc/core.h) simulates an N-line
 // transfer as N round trips through coroutine frames: every line costs two
 // Task frames, a chain of awaiter suspensions, and 8 engine events for a
-// remote get. The timestamps those events produce are nevertheless fully
-// determined by the Fig. 2 cost model the moment the op starts. BulkOp
-// replays the exact same cost arithmetic without any per-line coroutine
-// machinery, in one of two regimes:
+// remote get. BulkOp replays the exact same cost arithmetic as a flat
+// event chain with *event parity* — one lean function-pointer event per
+// reference-path event — and no per-line coroutine machinery.
 //
-// 1. QUIESCENT (empty event queue, no coroutine parked on any MPB line the
-//    op writes): nothing can interleave with the op, so the whole transfer
-//    is computed closed-form — resources are booked immediately in time
-//    order and a single completion event resumes the caller. This is the
-//    microbenchmark regime (rma_test, Fig. 3 latency probes, warm-up
-//    loops), and it collapses ~8 events/line to 1 per op.
-//
-// 2. BUSY (anything else): a flat event chain with *event parity* — one
-//    lean function-pointer event per reference-path event. Parity, not
-//    fewer events, is required for exactness here, and the reason is
-//    subtle: the engine breaks same-instant ties by event sequence number,
-//    and seq numbers are allocated when an event is SCHEDULED. Two packets
-//    reserving the same link at the same instant, or two cores grabbing an
-//    idle port at the same instant, are ordered by those seqs, and the
-//    reference allocates them at specific instants (a traversal's arrival
-//    event is scheduled at its departure instant, a departure event at the
-//    previous segment's end, ...). Dropping an intermediate event shifts
-//    the allocation instant of every event scheduled "through" it, which
-//    can flip a same-instant race somewhere else on the chip and drift the
-//    timeline (observed: ~0.1% latency drift on OC-Bcast when the chain
-//    skipped the segment-boundary events). So the busy-chip chain keeps
-//    every instant: kickoff (the busy() sleep), departure (link
-//    reservation), arrival (port enqueue), completion (access + return
-//    reservation), segment end (advance), and a single event for a cache
-//    hit — and resumes the caller inline from the final segment-end event,
-//    exactly like the reference's co_return chain. The win in this regime
-//    is constant-factor only: no coroutine frames, no awaiter chains, no
-//    nested Task resume cascades — just trampolines on a reusable object.
+// Parity, not fewer events, is required for exactness, and the reason is
+// subtle: the engine breaks same-instant ties by event sequence number, and
+// seq numbers are allocated when an event is SCHEDULED. Two packets
+// reserving the same link at the same instant, or two cores grabbing an
+// idle port at the same instant, are ordered by those seqs, and the
+// reference allocates them at specific instants (a traversal's arrival
+// event is scheduled at its departure instant, a departure event at the
+// previous segment's end, ...). Dropping an intermediate event shifts the
+// allocation instant of every event scheduled "through" it, which can flip
+// a same-instant race somewhere else on the chip and drift the timeline
+// (observed: ~0.1% latency drift on OC-Bcast when the chain skipped the
+// segment-boundary events). So the chain keeps every instant: kickoff (the
+// busy() sleep), departure (link reservation), arrival (port enqueue),
+// completion (access + return reservation), segment end (advance), and a
+// single event for a cache hit — and resumes the caller inline from the
+// final segment-end event, exactly like the reference's co_return chain.
+// The win is constant-factor: no coroutine frames, no awaiter chains, no
+// nested Task resume cascades — just trampolines on a reusable object.
 //
 // BulkOp is only used when SccChip::coalescing_active() — zero jitter,
 // config.coalescing on, and every installed observer bulk-capable (see
-// scc/observer.h). Observation preserves both regimes' exactness:
-//
-//   * On the parity chain, the per-line observer callbacks are dispatched
-//     live to the full chain at the exact reference instants (the kickoff
-//     event delivers the kBusy completion, the access happens inside the
-//     port-completion event, the segment-end event delivers the line's
-//     completion) — and because a clear bulk window guarantees the gates
-//     are identity (no crash, zero stall) and gates cost zero engine
-//     events either way (symmetric transfer), the chain stays
-//     event-for-event and seq-for-seq identical to the observed
-//     reference path.
-//   * On the closed-form path, per-line callbacks go inline during
-//     booking with the computed reference timestamps to the observers
-//     that need them, and observers that opted out of per-line delivery
-//     get one on_bulk(BulkTxn) carrying the full schedule.
+// scc/observer.h). Under observation the per-line callbacks are dispatched
+// live to the full chain at the exact reference instants (the kickoff
+// event delivers the kBusy completion, the access happens inside the
+// port-completion event, the segment-end event delivers the line's
+// completion). A clear bulk window guarantees the gates are identity (no
+// crash, zero stall), and gates cost zero engine events either way
+// (symmetric transfer), so the chain stays event-for-event and
+// seq-for-seq identical to the observed reference path.
 //
 // The equivalence is asserted by tests/coalescing_equivalence_test.cpp and
 // tests/observer_fastpath_test.cpp, and discussed in DESIGN.md ("Fast-path
@@ -62,7 +44,6 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <vector>
 
 #include "common/types.h"
 #include "noc/geometry.h"
@@ -155,7 +136,6 @@ class BulkOp {
   Half mem_half(std::size_t offset, bool write) const;
 
   void launch();
-  bool try_quiescent(sim::Time start);
   void start_segment();
   void advance();
   void on_start();
@@ -165,9 +145,8 @@ class BulkOp {
   void on_arrival();
   void on_complete();
   /// Performs the current line-half's load/store at instant `now`,
-  /// dispatching on_read/on_write in the reference order. `quiescent`
-  /// selects the closed-form dispatch lists over the full chain.
-  void do_access(sim::Time now, bool quiescent);
+  /// dispatching on_read/on_write in the reference order.
+  void do_access(sim::Time now);
 
   static void start_tramp(void* op) { static_cast<BulkOp*>(op)->on_start(); }
   static void seg_tramp(void* op) { static_cast<BulkOp*>(op)->on_seg(); }
@@ -211,12 +190,9 @@ class BulkOp {
   bool in_flight_ = false;
   bool observing_ = false;   ///< chain non-empty at launch
   sim::Time issue_ = 0;      ///< op issue instant (before op_overhead_)
-  sim::Time seg_start_ = 0;  ///< parity chain: current segment's start
+  sim::Time seg_start_ = 0;  ///< current segment's start
   std::coroutine_handle<> cont_{};
   CacheLine value_{};
-  /// Reference-path timestamps recorded by the closed-form path when an
-  /// on_bulk recipient is installed (lines*2 entries, reused across ops).
-  std::vector<BulkHalfTimes> schedule_;
 };
 
 }  // namespace ocb::scc

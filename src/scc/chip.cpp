@@ -77,47 +77,10 @@ bool SccChip::bulk_window_clear(CoreId core) {
 
 void SccChip::refresh_coalescing() {
   bool active = config_.coalescing && config_.jitter == 0;
-  perline_read_.clear();
-  perline_write_.clear();
-  perline_complete_.clear();
-  bulk_summary_.clear();
-  for (TransactionObserver* o : observers_) {
+  for (const TransactionObserver* o : observers_) {
     active = active && o->supports_bulk();
-    bool per_line = false;
-    if (o->needs_per_line_reads()) {
-      perline_read_.push_back(o);
-      per_line = true;
-    }
-    if (o->needs_per_line_writes()) {
-      perline_write_.push_back(o);
-      per_line = true;
-    }
-    if (o->needs_per_line_completes()) {
-      perline_complete_.push_back(o);
-      per_line = true;
-    }
-    if (!per_line) bulk_summary_.push_back(o);
   }
   coalescing_active_ = active;
-}
-
-void SccChip::TraceSinkObserver::on_bulk(const BulkTxn& txn) {
-  if (bulk) {
-    bulk(txn);
-    return;
-  }
-  // Legacy sinks get the synthesized per-line stream. Reads/writes are
-  // no-ops for a sink, so skip the default synthesis' value recovery.
-  sink({TraceOp::kBusy, txn.core, txn.core, 0, txn.issue, txn.kickoff});
-  for (std::size_t line = 0; line < txn.lines; ++line) {
-    for (int hi = 0; hi < 2; ++hi) {
-      const BulkHalfDesc& h = txn.half[hi];
-      const BulkHalfTimes& ts = txn.schedule[line * 2 + hi];
-      const TraceOp op = ts.cache_hit ? TraceOp::kCacheHit : h.op;
-      sink({op, txn.core, h.target, h.base + line * h.stride, ts.begin,
-            ts.end});
-    }
-  }
 }
 
 mem::MpbStorage& SccChip::mpb(CoreId id) {
@@ -166,7 +129,6 @@ sim::RunResult SccChip::run(std::uint64_t max_events) {
   sim::RunResult result = engine_.run(max_events);
   result.bulk_ops = bulk_stats_.ops - before.ops;
   result.bulk_ops_observed = bulk_stats_.ops_observed - before.ops_observed;
-  result.bulk_quiescent_ops = bulk_stats_.quiescent_ops - before.quiescent_ops;
   result.bulk_fallback_ops = bulk_stats_.fallback_ops - before.fallback_ops;
   result.bulk_fallback_lines =
       bulk_stats_.fallback_lines - before.fallback_lines;
@@ -187,10 +149,9 @@ void SccChip::remove_observer(TransactionObserver* observer) {
   refresh_coalescing();
 }
 
-void SccChip::set_trace_sink(TraceSink sink, BulkTraceSink bulk) {
+void SccChip::set_trace_sink(TraceSink sink) {
   const bool was_installed = static_cast<bool>(trace_observer_.sink);
   trace_observer_.sink = std::move(sink);
-  trace_observer_.bulk = std::move(bulk);
   const bool want_installed = static_cast<bool>(trace_observer_.sink);
   if (want_installed && !was_installed) add_observer(&trace_observer_);
   if (!want_installed && was_installed) remove_observer(&trace_observer_);

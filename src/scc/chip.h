@@ -89,11 +89,9 @@ class SccChip {
   /// Installs (or clears, with an empty function) a per-transaction trace
   /// sink; sugar for an internal observer that forwards on_complete events
   /// (see scc/trace.h). Kept for the common "just give me the events" case.
-  /// The sink observer is bulk-capable: coalesced ops on a quiescent chip
-  /// deliver the synthesized per-line events (byte-identical stream), or —
-  /// when `bulk` is provided — one span-style BulkTxn record per op
-  /// (see JsonTraceCollector::bulk_sink).
-  void set_trace_sink(TraceSink sink, BulkTraceSink bulk = {});
+  /// The sink observer is passive, so coalesced ops stay on and deliver the
+  /// same per-line event stream as the reference path.
+  void set_trace_sink(TraceSink sink);
   bool tracing() const { return static_cast<bool>(trace_observer_.sink); }
 
   // Chain dispatch, called by Core (and the rma sync layer for
@@ -136,51 +134,25 @@ class SccChip {
   /// this many coalesced ops concurrently before spilling per-line.
   static constexpr std::size_t kBulkPoolSize = 4;
 
-  // --- quiescent-path observer dispatch (see scc/observer.h) --------------
-  // The busy-chip parity chain uses the full-chain observe_* entry points
-  // above; the closed-form path dispatches per-line callbacks only to
-  // observers that asked for them and one on_bulk to the rest.
-
-  bool bulk_summary_pending() const { return !bulk_summary_.empty(); }
-  void observe_read_quiescent(const LineTxn& txn, CacheLine& value) {
-    for (TransactionObserver* o : perline_read_) o->on_read(txn, value);
-  }
-  bool observe_write_quiescent(const LineTxn& txn, CacheLine& value) {
-    bool commit = true;
-    for (TransactionObserver* o : perline_write_) {
-      commit = o->on_write(txn, value) && commit;
-    }
-    return commit;
-  }
-  void observe_complete_quiescent(const TraceEvent& event) {
-    for (TransactionObserver* o : perline_complete_) o->on_complete(event);
-  }
-  void observe_bulk(const BulkTxn& txn) {
-    for (TransactionObserver* o : bulk_summary_) o->on_bulk(txn);
-  }
-
   /// AND over the chain's per-op gate promises for `core` at now().
   bool bulk_window_clear(CoreId core);
 
-  /// Observer-batch hit/fallback counters (increments compiled in only
+  /// Fast-path hit/fallback counters (increments compiled in only
   /// with OCB_SIM_STATS). Cumulative over the chip's lifetime; run()
   /// reports per-run deltas in RunResult.
   struct BulkObserverStats {
     std::uint64_t ops = 0;            ///< coalesced ops launched
     std::uint64_t ops_observed = 0;   ///< ... with observers installed
-    std::uint64_t quiescent_ops = 0;  ///< ... taking the closed-form path
     std::uint64_t fallback_ops = 0;   ///< ops denied the fast path
     std::uint64_t fallback_lines = 0;  ///< lines those ops replayed per-line
   };
   const BulkObserverStats& bulk_stats() const { return bulk_stats_; }
-  void note_bulk_op(bool observed, bool quiescent) {
+  void note_bulk_op(bool observed) {
 #ifdef OCB_SIM_STATS
     ++bulk_stats_.ops;
     if (observed) ++bulk_stats_.ops_observed;
-    if (quiescent) ++bulk_stats_.quiescent_ops;
 #else
     (void)observed;
-    (void)quiescent;
 #endif
   }
   void note_bulk_fallback(std::size_t lines) {
@@ -193,27 +165,19 @@ class SccChip {
   }
 
  private:
-  /// The set_trace_sink sugar: a chain member owned by the chip. Passive
-  /// and fully batched — quiescent coalesced ops reach it via on_bulk,
-  /// which forwards a span-style record to `bulk` when set and otherwise
-  /// expands to the byte-identical legacy per-line event stream.
+  /// The set_trace_sink sugar: a passive chain member owned by the chip.
   struct TraceSinkObserver final : TransactionObserver {
     TraceSink sink;
-    BulkTraceSink bulk;
     bool is_passive() const override { return true; }
-    bool needs_per_line_reads() const override { return false; }
-    bool needs_per_line_writes() const override { return false; }
-    bool needs_per_line_completes() const override { return false; }
     void on_complete(const TraceEvent& event) override { sink(event); }
-    void on_bulk(const BulkTxn& txn) override;
   };
 
   static sim::Task<void> invoke_program(
       std::function<sim::Task<void>(Core&)> program, Core& core);
   static std::string describe_core(void* core);
 
-  /// Recomputes the coalescing flag and the quiescent dispatch lists from
-  /// the current chain (called on every add/remove).
+  /// Recomputes the coalescing flag from the current chain (called on
+  /// every add/remove).
   void refresh_coalescing();
 
   SccConfig config_;
@@ -227,13 +191,6 @@ class SccChip {
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<std::vector<std::unique_ptr<BulkOp>>> bulk_pools_;
   std::vector<TransactionObserver*> observers_;
-  // Quiescent dispatch lists, rebuilt by refresh_coalescing(): observers
-  // that asked for per-line reads/writes/completes, and those that asked
-  // for none of them (on_bulk recipients).
-  std::vector<TransactionObserver*> perline_read_;
-  std::vector<TransactionObserver*> perline_write_;
-  std::vector<TransactionObserver*> perline_complete_;
-  std::vector<TransactionObserver*> bulk_summary_;
   BulkObserverStats bulk_stats_;
   TraceSinkObserver trace_observer_;
   std::vector<bool> crash_notified_;

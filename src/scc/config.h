@@ -96,8 +96,8 @@ struct SccConfig {
   /// what makes heavy contention hit cores unequally (Fig. 4's spread).
   sim::Arbitration arbitration = sim::Arbitration::kPositional;
   /// Master switch for the coalesced RMA fast path (scc/bulk.h): multi-line
-  /// put/get computed closed-form from the Fig. 2 cost model instead of one
-  /// coroutine round trip per line. Timing-neutral by construction — the
+  /// put/get replayed from the Fig. 2 cost model as a flat event chain
+  /// instead of one coroutine round trip per line. Timing-neutral by construction — the
   /// per-line path is used automatically whenever jitter or an observer
   /// that is not bulk-capable is active (see scc/observer.h and DESIGN.md
   /// "Fast-path transaction coalescing"; the built-in checker, trace sink,

@@ -96,15 +96,14 @@ struct RunResult {
   /// allocator vs. recycled through the sim::FramePool free lists.
   std::uint64_t frame_allocs = 0;
   std::uint64_t frame_reuses = 0;
-  /// Coalesced-RMA observer-batch counters for this run (deltas; filled by
+  /// Coalesced-RMA fast-path counters for this run (deltas; filled by
   /// SccChip::run, zero for plain Engine runs and non-OCB_SIM_STATS
   /// builds): ops that took the fast path (and how many of those ran with
-  /// observers installed / closed-form), plus ops denied the fast path at
-  /// acquisition (gate window not clear, per-core pool exhausted) and the
-  /// lines those ops replayed through the per-line reference path.
+  /// observers installed), plus ops denied the fast path at acquisition
+  /// (gate window not clear, per-core pool exhausted) and the lines those
+  /// ops replayed through the per-line reference path.
   std::uint64_t bulk_ops = 0;
   std::uint64_t bulk_ops_observed = 0;
-  std::uint64_t bulk_quiescent_ops = 0;
   std::uint64_t bulk_fallback_ops = 0;
   std::uint64_t bulk_fallback_lines = 0;
   /// One entry per stalled process: its spawn label plus the wait reason it
@@ -145,8 +144,7 @@ class Engine {
   /// Number of spawned processes that have not yet finished.
   std::size_t live_processes() const { return live_; }
 
-  /// Events currently queued, overflow included. The closed-form RMA fast
-  /// path uses this to detect a quiescent machine.
+  /// Events currently queued, overflow included.
   std::size_t queue_size() const { return queue_.size(); }
 
   /// Awaitable: suspends the caller for `d` simulated time.

@@ -76,19 +76,10 @@ class ArbitratedServer {
 
   /// Callback flavour of use(): joins the same queue under the same
   /// arbitration, but invokes `cb(ctx)` at service completion instead of
-  /// resuming a coroutine. The closed-form RMA fast path (scc/bulk.h) uses
+  /// resuming a coroutine. The coalesced RMA fast path (scc/bulk.h) uses
   /// this so a coalesced transfer contends for ports exactly like the
   /// per-line path — byte-identical queueing, no coroutine frame.
   void acquire(Duration service, int priority, void (*cb)(void*), void* ctx);
-
-  /// Stats-only booking of one uncontended service (server must be idle
-  /// with an empty queue): the quiescent-chip fast path computes service
-  /// completion arithmetically and records the hold here so total_served /
-  /// busy_time match the per-line path.
-  void book_uncontended(Duration service) {
-    ++total_served_;
-    busy_time_ += service;
-  }
 
   bool busy() const { return busy_; }
   std::size_t queue_length() const { return queue_.size(); }

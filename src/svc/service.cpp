@@ -359,7 +359,6 @@ ServiceMetrics BroadcastService::run() {
   m.engine_max_queue_depth = rr.max_queue_depth;
   m.bulk_ops = rr.bulk_ops;
   m.bulk_ops_observed = rr.bulk_ops_observed;
-  m.bulk_quiescent_ops = rr.bulk_quiescent_ops;
   m.bulk_fallback_ops = rr.bulk_fallback_ops;
   m.bulk_fallback_lines = rr.bulk_fallback_lines;
   for (const RequestOutcome& out : outcomes_) {

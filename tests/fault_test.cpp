@@ -221,9 +221,9 @@ TEST(FtOcBcast, ZeroFaultOverheadUnderFivePercent) {
     harness::BcastRunSpec plain;
     plain.message_bytes = lines * kCacheLineBytes;
     plain.iterations = lines >= 32768u ? 2 : 3;
-    plain.algorithm.kind = core::BcastKind::kOcBcast;
+    plain.algorithm_name = "ocbcast";
     harness::BcastRunSpec ft = plain;
-    ft.algorithm.kind = core::BcastKind::kFtOcBcast;
+    ft.algorithm_name = "ft-ocbcast";
     const harness::BcastRunResult rp = run_broadcast(plain);
     const harness::BcastRunResult rf = run_broadcast(ft);
     ASSERT_TRUE(rp.content_ok);

@@ -2,10 +2,15 @@
 // op timing, the contention and mesh-stress experiments, and reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "harness/measurement.h"
 #include "harness/report.h"
 #include "harness/sweep.h"
 #include "model/primitives.h"
+#include "noc/topology.h"
 
 namespace ocb::harness {
 namespace {
@@ -74,16 +79,34 @@ TEST(BcastSession, ReuseMatchesFreshChip) {
 }
 
 TEST(RunBroadcast, AllAlgorithmsVerify) {
-  for (core::BcastKind kind :
-       {core::BcastKind::kOcBcast, core::BcastKind::kBinomial,
-        core::BcastKind::kScatterAllgather}) {
+  for (const char* name : {"ocbcast", "binomial", "scatter-allgather"}) {
     BcastRunSpec spec;
-    spec.algorithm.kind = kind;
+    spec.algorithm_name = name;
     spec.message_bytes = 97 * 32;
     spec.iterations = 2;
     const BcastRunResult r = run_broadcast(spec);
     EXPECT_TRUE(r.content_ok);
   }
+}
+
+TEST(RunBroadcast, DefaultSpecHonoursParamsOnLargeMesh) {
+  // The default spec names "ocbcast", so `params` always reach the
+  // factory: parties = 0 spans every core of a 256-core mesh, and the last
+  // core receives the root's bytes.
+  BcastRunSpec spec;
+  spec.config.topology = noc::Topology::mesh(16, 16, /*cores_per_tile=*/1);
+  spec.params.parties = 0;
+  spec.message_bytes = 96 * kCacheLineBytes;
+  spec.iterations = 1;
+  spec.warmup = 0;
+  BcastSession session(spec);
+  const BcastRunResult r = session.run();
+  EXPECT_TRUE(r.content_ok);
+  scc::SccChip& chip = session.chip();
+  ASSERT_EQ(chip.num_cores(), 256);
+  const auto sent = chip.memory(spec.root).host_bytes(0, spec.message_bytes);
+  const auto got = chip.memory(255).host_bytes(0, spec.message_bytes);
+  EXPECT_TRUE(std::equal(sent.begin(), sent.end(), got.begin()));
 }
 
 TEST(RunBroadcast, NonZeroRoot) {
@@ -217,13 +240,33 @@ TEST(Sweep, SizeListsMatchThePaperRanges) {
 }
 
 TEST(Sweep, LineupMatchesPaperFigures) {
-  const auto specs = paper_algorithm_lineup();
-  ASSERT_EQ(specs.size(), 5u);
-  EXPECT_EQ(core::spec_label(specs[0]), "k=2");
-  EXPECT_EQ(core::spec_label(specs[1]), "k=7");
-  EXPECT_EQ(core::spec_label(specs[2]), "k=47");
-  EXPECT_EQ(core::spec_label(specs[3]), "binomial");
-  EXPECT_EQ(core::spec_label(specs[4]), "s-ag");
+  const auto lineup = paper_algorithm_lineup();
+  ASSERT_EQ(lineup.size(), 5u);
+  std::vector<std::string> labels;
+  for (const auto& [name, params] : lineup) {
+    EXPECT_TRUE(coll::registered(name)) << name;
+    labels.push_back(spec_label(name, params));
+  }
+  EXPECT_EQ(labels, (std::vector<std::string>{"k=2", "k=7", "k=47",
+                                              "binomial", "s-ag"}));
+}
+
+TEST(Sweep, SpecLabelsMatchFigureLegends) {
+  coll::Params p;
+  EXPECT_EQ(spec_label("ocbcast", p), "k=7");
+  EXPECT_EQ(spec_label("ft-ocbcast", p), "ft k=7");
+  EXPECT_EQ(spec_label("onesided-sag", p), "os-sag");
+  EXPECT_EQ(spec_label("hier-ocbcast", p), "hier-ocbcast");
+  p.double_buffering = false;
+  EXPECT_EQ(spec_label("ocbcast", p), "k=7 (1buf)");
+  EXPECT_EQ(spec_label("ft-ocbcast", p), "ft k=7 (1buf)");
+  p.double_buffering = true;
+  p.leaf_direct_to_memory = true;
+  EXPECT_EQ(spec_label("ocbcast", p), "k=7 (leaf-direct)");
+  p.leaf_direct_to_memory = false;
+  p.sequential_notification = true;
+  p.k = 16;
+  EXPECT_EQ(spec_label("ocbcast", p), "k=16 (seq-notify)");
 }
 
 TEST(Report, TablesRenderAllSeries) {

@@ -1,11 +1,10 @@
 // The byte-identity gate for the observer-compatible fast path
 // (scc/observer.h capability model).
 //
-// PR 6 lets the coalesced BulkOp path stay on while the built-in
-// observers — check::RaceChecker, the JSON trace sink, and
-// fault::FaultInjector — are installed, dispatching batched or
-// reference-instant per-line observation instead of forcing the per-line
-// slow path. The contract is that NOTHING observable may change: checker
+// The coalesced BulkOp path stays on while the built-in observers —
+// check::RaceChecker, the JSON trace sink, and fault::FaultInjector — are
+// installed, dispatching per-line observation at reference instants
+// instead of forcing the per-line slow path. The contract is that NOTHING observable may change: checker
 // verdicts and their full provenance (seqs, times, stages), rendered
 // trace JSON bytes, fault outcomes and injection counts, and service SLO
 // metrics must be bit-identical with the fast path forced on vs off.
@@ -17,8 +16,10 @@
 
 #include "check/checker.h"
 #include "coll/registry.h"
+#include "fault/injector.h"
 #include "harness/fault_sweep.h"
 #include "harness/measurement.h"
+#include "noc/topology.h"
 #include "rma/rma.h"
 #include "scc/chip.h"
 #include "scc/trace_json.h"
@@ -118,8 +119,7 @@ TEST(ObserverFastpath, TraceJsonBytesAreBitIdentical) {
     for (int arm = 0; arm < 2; ++arm) {
       harness::BcastSession session(spec_for(name, arm == 0));
       scc::JsonTraceCollector trace;
-      // The legacy per-line sink (no bulk companion): coalesced ops must
-      // synthesize the exact per-line event stream.
+      // Coalesced ops must deliver the exact per-line event stream.
       session.chip().set_trace_sink(trace.sink());
       EXPECT_EQ(session.chip().coalescing_active(), arm == 0) << name;
       const harness::BcastRunResult r = session.run();
@@ -169,9 +169,9 @@ TEST(ObserverFastpath, FaultOutcomesAreBitIdentical) {
   EXPECT_EQ(on.race_report, off.race_report);
 }
 
-// A zero-rate injector (the common "FT run, no faults today" shape) is
-// pre-sampled as needing no per-line callbacks at all, so it must keep
-// quiescent coalescing fully enabled — and still match the off arm.
+// A zero-rate injector (the common "FT run, no faults today" shape) gates
+// no core, so it keeps coalescing on — and must still match the off arm
+// event for event.
 TEST(ObserverFastpath, ZeroRateInjectorKeepsFastPath) {
   harness::FaultRunSpec on_spec;
   on_spec.message_bytes = 16 * 1024;
@@ -185,8 +185,56 @@ TEST(ObserverFastpath, ZeroRateInjectorKeepsFastPath) {
   EXPECT_TRUE(off.all_survivors_correct());
   EXPECT_DOUBLE_EQ(on.latency_us, off.latency_us);
   EXPECT_EQ(on.injections.total(), 0u);
-  // Fewer events on the fast arm: quiescent ops really collapsed.
-  EXPECT_LE(on.events, off.events);
+  EXPECT_EQ(on.events, off.events);
+}
+
+// The injector's gate table covers any core id a larger topology issues:
+// on a 256-core mesh, core 200's multi-line put runs coalesced under a
+// zero-rate injector, and a planned stall of core 200 routes it through
+// the gated per-line path — identical end times either way.
+sim::Time mesh_put_end(const fault::FaultPlan& plan, bool coalescing,
+                       std::uint64_t* stalls_applied) {
+  scc::SccConfig cfg;
+  cfg.topology = noc::Topology::mesh(16, 16, /*cores_per_tile=*/1);
+  cfg.coalescing = coalescing;
+  scc::SccChip chip(cfg);
+  fault::FaultInjector injector(plan);
+  chip.add_observer(&injector);
+  EXPECT_EQ(chip.coalescing_active(), coalescing);
+  chip.spawn(200, [](scc::Core& me) -> sim::Task<void> {
+    co_await rma::put_mpb_to_mpb(me, {37, 0}, 0, 64);
+  });
+  const sim::RunResult run = chip.run();
+  EXPECT_TRUE(run.completed());
+  *stalls_applied = injector.stats().stalls_applied;
+  return run.end_time;
+}
+
+TEST(ObserverFastpath, InjectorGatesCoresBeyondTheScc) {
+  fault::FaultPlan zero_rate;
+  fault::FaultPlan stalled;
+  stalled.stalls.push_back({200, 0, 5 * sim::kMicrosecond});
+  {
+    fault::FaultInjector clear(zero_rate);
+    fault::FaultInjector gated(stalled);
+    EXPECT_TRUE(clear.bulk_window_clear(200, 0));
+    EXPECT_TRUE(gated.bulk_window_clear(199, 0));
+    EXPECT_FALSE(gated.bulk_window_clear(200, 0));
+    EXPECT_TRUE(gated.bulk_window_clear(255, 0));
+  }
+
+  std::uint64_t stalls[2] = {0, 0};
+  const sim::Time plain_on = mesh_put_end(zero_rate, true, &stalls[0]);
+  const sim::Time plain_off = mesh_put_end(zero_rate, false, &stalls[1]);
+  EXPECT_EQ(plain_on, plain_off);
+  EXPECT_EQ(stalls[0] + stalls[1], 0u);
+
+  const sim::Time stalled_on = mesh_put_end(stalled, true, &stalls[0]);
+  const sim::Time stalled_off = mesh_put_end(stalled, false, &stalls[1]);
+  EXPECT_EQ(stalled_on, stalled_off);
+  EXPECT_EQ(stalls[0], 1u);
+  EXPECT_EQ(stalls[1], 1u);
+  EXPECT_EQ(stalled_on, plain_on + 5 * sim::kMicrosecond);
 }
 
 // --- service runs -----------------------------------------------------------

@@ -6,9 +6,11 @@
 
 #include <tuple>
 
+#include "coll/registry.h"
 #include "common/require.h"
 #include "core/onesided_sag.h"
 #include "harness/measurement.h"
+#include "harness/sweep.h"
 
 namespace ocb::core {
 namespace {
@@ -133,14 +135,11 @@ TEST(OneSidedSag, AgreesWithTwoSidedVariant) {
   const std::size_t bytes = 1234 * 32 + 5;
   std::vector<std::byte> results[2];
   int i = 0;
-  for (BcastKind kind :
-       {BcastKind::kOneSidedScatterAllgather, BcastKind::kScatterAllgather}) {
+  for (const char* name : {"onesided-sag", "scatter-allgather"}) {
     scc::SccChip chip;
-    BcastSpec spec;
-    spec.kind = kind;
-    auto algo = make_broadcast(chip, spec);
+    auto algo = coll::make(name, chip);
     seed(chip, 0, 0, bytes, 99);
-    for (CoreId c = 0; c < spec.parties; ++c) {
+    for (CoreId c = 0; c < algo->parties(); ++c) {
       chip.spawn(c, [&algo, bytes](scc::Core& me) -> sim::Task<void> {
         co_await algo->run(me, 0, 0, bytes);
       });
@@ -156,28 +155,27 @@ TEST(OneSidedSag, BeatsTwoSidedThroughputButNotOcBcast) {
   // The extension's raison d'etre (§5.4): one-sided primitives alone lift
   // scatter-allgather meaningfully, but the tree + pipeline of OC-Bcast
   // remains clearly ahead — supporting the paper's design choice.
-  auto throughput = [](BcastKind kind) {
+  auto throughput = [](const char* name) {
     harness::BcastRunSpec spec;
-    spec.algorithm.kind = kind;
+    spec.algorithm_name = name;
     spec.message_bytes = 4096 * kCacheLineBytes;
     spec.iterations = 2;
     const harness::BcastRunResult r = run_broadcast(spec);
     EXPECT_TRUE(r.content_ok);
     return r.throughput_mbps;
   };
-  const double onesided = throughput(BcastKind::kOneSidedScatterAllgather);
-  const double twosided = throughput(BcastKind::kScatterAllgather);
-  const double oc = throughput(BcastKind::kOcBcast);
+  const double onesided = throughput("onesided-sag");
+  const double twosided = throughput("scatter-allgather");
+  const double oc = throughput("ocbcast");
   EXPECT_GT(onesided, twosided * 1.15);
   EXPECT_GT(oc, onesided * 1.3);
 }
 
 TEST(OneSidedSag, FactoryAndLabel) {
   scc::SccChip chip;
-  BcastSpec spec;
-  spec.kind = BcastKind::kOneSidedScatterAllgather;
-  EXPECT_EQ(make_broadcast(chip, spec)->name(), "one-sided scatter-allgather");
-  EXPECT_EQ(spec_label(spec), "os-sag");
+  EXPECT_EQ(coll::make("onesided-sag", chip)->name(),
+            "one-sided scatter-allgather");
+  EXPECT_EQ(harness::spec_label("onesided-sag", coll::Params{}), "os-sag");
 }
 
 }  // namespace
