@@ -52,7 +52,7 @@ Outcome run_variant(Variant variant) {
   scc::SccChip chip;
   core::OcBcastOptions opt;
   core::OcBcast bcast(chip, opt);
-  core::IpiNotifier notifier;
+  core::IpiNotifier notifier(chip.num_cores());
   constexpr std::size_t kBytes = kLines * kCacheLineBytes;
   for (int r = 0; r < kRounds; ++r) {
     auto w = chip.memory(0).host_bytes(r * kBytes, kBytes);

@@ -14,6 +14,7 @@ AdaptiveBcast::AdaptiveBcast(scc::SccChip& chip, const Params& params,
       params_(params),
       table_(std::move(table)),
       quiesce_(chip.engine()) {
+  params_.parties = chip.topology().resolve_parties(params_.parties);
   OCB_REQUIRE(params_.mpb_base_line == 0,
               "adaptive broadcast owns the whole MPB (mpb_base_line must be "
               "0; it cannot run inside a service slot lease)");

@@ -1,5 +1,6 @@
 #include "coll/decision.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -13,9 +14,12 @@ namespace {
 
 constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
 
-bool is_catch_all(const DecisionRule& r) {
-  return r.max_lines == kNoLimit && r.max_parties >= kNumCores &&
-         r.max_fault_rate >= 1.0;
+bool ends_in_catch_all(const std::vector<DecisionRule>& rules) {
+  const DecisionRule& last = rules.back();
+  for (const DecisionRule& r : rules) {
+    if (r.max_parties > last.max_parties) return false;
+  }
+  return last.max_lines == kNoLimit && last.max_fault_rate >= 1.0;
 }
 
 // --- minimal scanners for our own to_json output -----------------------
@@ -91,9 +95,10 @@ std::string Choice::key() const {
 DecisionTable::DecisionTable(std::vector<DecisionRule> rules)
     : rules_(std::move(rules)) {
   OCB_REQUIRE(!rules_.empty(), "decision table needs at least one rule");
-  OCB_REQUIRE(is_catch_all(rules_.back()),
+  OCB_REQUIRE(ends_in_catch_all(rules_),
               "decision table's last rule must be a catch-all "
-              "(max_lines=SIZE_MAX, max_parties>=48, max_fault_rate>=1)");
+              "(max_lines=SIZE_MAX, max_parties>=every rule's, "
+              "max_fault_rate>=1)");
   for (const DecisionRule& r : rules_) {
     OCB_REQUIRE(!r.choice.algorithm.empty(),
                 "decision rule with empty algorithm name");
@@ -103,6 +108,7 @@ DecisionTable::DecisionTable(std::vector<DecisionRule> rules)
 
 const Choice& DecisionTable::lookup(std::size_t lines, int parties,
                                     double fault_rate) const {
+  parties = std::min(parties, rules_.back().max_parties);
   for (const DecisionRule& r : rules_) {
     if (lines <= r.max_lines && parties <= r.max_parties &&
         fault_rate <= r.max_fault_rate) {
@@ -178,9 +184,10 @@ const DecisionTable& DecisionTable::baked_in() {
   // bench_autotune --json_out) embeds its own machine-derived table,
   // which explores shapes outside the fig8 series; load one through
   // Params::adaptive_table_json to use it instead.
+  const int scc_cores = noc::Topology::scc().num_cores();
   static const DecisionTable table({
-      DecisionRule{kNoLimit, kNumCores, 0.0, Choice{"ocbcast", 7, 96, true}},
-      DecisionRule{kNoLimit, kNumCores, 1.0,
+      DecisionRule{kNoLimit, scc_cores, 0.0, Choice{"ocbcast", 7, 96, true}},
+      DecisionRule{kNoLimit, scc_cores, 1.0,
                    Choice{"ft-ocbcast", 7, 96, true}},
   });
   return table;

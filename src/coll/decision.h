@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "coll/registry.h"
+#include "noc/topology.h"
 
 namespace ocb::coll {
 
@@ -40,10 +41,12 @@ struct Choice {
 /// rules are evaluated in order, first match wins. Zero-fault size bands
 /// come first (max_fault_rate == 0 never matches a faulty query), the
 /// fault-tolerant bands after them, and the final rule must be a catch-all
-/// so every query resolves.
+/// so every query resolves. A table tuned at P parties answers larger
+/// party counts as it would at P: lookup() clamps the query's parties to
+/// the catch-all's max_parties.
 struct DecisionRule {
   std::size_t max_lines = static_cast<std::size_t>(-1);
-  int max_parties = kNumCores;
+  int max_parties = noc::Topology::scc().num_cores();
   double max_fault_rate = 0.0;
   Choice choice;
 };
@@ -51,13 +54,14 @@ struct DecisionRule {
 class DecisionTable {
  public:
   /// Requires a non-empty rule list whose last rule is a catch-all
-  /// (max_lines == SIZE_MAX, max_parties >= kNumCores,
+  /// (max_lines == SIZE_MAX, max_parties >= every rule's max_parties,
   /// max_fault_rate >= 1).
   explicit DecisionTable(std::vector<DecisionRule> rules);
 
   const std::vector<DecisionRule>& rules() const { return rules_; }
 
-  /// First matching rule's choice; total by the catch-all invariant.
+  /// First matching rule's choice for `parties` clamped to the catch-all's
+  /// max_parties; total by the catch-all invariant.
   const Choice& lookup(std::size_t lines, int parties,
                        double fault_rate) const;
 

@@ -107,11 +107,6 @@ std::unique_ptr<Collective> make(const std::string& name, scc::SccChip& chip,
     }
     OCB_REQUIRE(false, msg);
   }
-  if (params.parties == 0) {  // "all cores of this chip"
-    Params resolved = params;
-    resolved.parties = chip.topology().num_cores();
-    return it->second(chip, resolved);
-  }
   return it->second(chip, params);
 }
 

@@ -25,10 +25,9 @@ namespace ocb::coll {
 
 /// Algorithm-agnostic tuning bundle; each factory picks what it honors.
 struct Params {
-  /// Participating cores 0..parties-1. The default is the SCC's 48; pass 0
-  /// for "all cores of the chip" (make() resolves it from the chip's
-  /// topology), or any explicit count up to chip.topology().num_cores().
-  int parties = kNumCores;
+  /// Participating cores 0..parties-1; 0 = every core of the chip. Each
+  /// algorithm resolves it through chip.topology().resolve_parties().
+  int parties = 0;
   /// Tree fan-out (OC-Bcast family).
   int k = 7;
   /// Fan-out of the relay tree over die leaders ("hier-ocbcast" only).

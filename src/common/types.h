@@ -9,19 +9,13 @@
 
 namespace ocb {
 
-/// Identifier of one of the 48 SCC cores (0..47). Two cores share a tile:
-/// cores 2t and 2t+1 live on tile t.
+/// Identifier of a core, 0..num_cores()-1 of the chip's noc::Topology.
 using CoreId = int;
 
-/// Number of cores on the SCC.
+/// Number of cores on the paper's SCC. Library sizes come from the chip's
+/// noc::Topology (`Topology::scc()` when the SCC is meant); this alias
+/// stays for programs written against the 48-core chip.
 inline constexpr int kNumCores = 48;
-
-/// Number of tiles (two cores each).
-inline constexpr int kNumTiles = 24;
-
-/// Mesh dimensions: 6 columns x 4 rows of tiles.
-inline constexpr int kMeshCols = 6;
-inline constexpr int kMeshRows = 4;
 
 /// The unit of data transmission on the SCC: one 32-byte cache line.
 inline constexpr std::size_t kCacheLineBytes = 32;

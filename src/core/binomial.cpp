@@ -7,9 +7,7 @@ namespace ocb::core {
 BinomialBcast::BinomialBcast(scc::SccChip& chip, BinomialOptions options)
     : options_(options),
       twosided_(std::make_unique<rma::TwoSided>(chip, options.layout)) {
-  OCB_REQUIRE(options_.parties >= 2 &&
-                  options_.parties <= chip.topology().num_cores(),
-              "party count out of range");
+  options_.parties = chip.topology().resolve_parties(options_.parties);
 }
 
 sim::Task<void> BinomialBcast::run(scc::Core& self, CoreId root, std::size_t offset,

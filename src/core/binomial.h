@@ -19,7 +19,8 @@
 namespace ocb::core {
 
 struct BinomialOptions {
-  int parties = kNumCores;
+  /// Participating cores 0..parties-1; 0 = every core of the chip.
+  int parties = 0;
   rma::TwoSidedLayout layout{};
 };
 

@@ -11,13 +11,13 @@ namespace ocb::core {
 
 FtOcBcast::FtOcBcast(scc::SccChip& chip, FtOcBcastOptions options)
     : chip_(&chip),
-      options_(options),
+      options_([&] {
+        options.parties = chip.topology().resolve_parties(options.parties);
+        return options;
+      }()),
       buffer_count_(options.double_buffering ? 2 : 1),
       fence_(chip,
              [&] {
-               OCB_REQUIRE(options.parties >= 2 &&
-                               options.parties <= chip.topology().num_cores(),
-                           "party count out of range");
                OCB_REQUIRE(options.k >= 1 && options.k <= options.parties - 1,
                            "fan-out must be in [1, parties-1]");
                OCB_REQUIRE(options.chunk_lines >= 1,

@@ -58,7 +58,8 @@
 namespace ocb::core {
 
 struct FtOcBcastOptions {
-  int parties = kNumCores;
+  /// Participating cores 0..parties-1; 0 = every core of the chip.
+  int parties = 0;
   int k = 7;
   std::size_t chunk_lines = 96;
   bool double_buffering = true;

@@ -25,17 +25,12 @@ HierarchicalBcast::HierarchicalBcast(scc::SccChip& chip,
                                      HierarchicalBcastOptions options)
     : chip_(&chip),
       options_([&] {
-        if (options.parties == 0) {
-          options.parties = chip.topology().num_cores();
-        }
+        options.parties = chip.topology().resolve_parties(options.parties);
         return options;
       }()),
       buffer_count_(options.double_buffering ? 2 : 1),
       fence_(chip,
              [&] {
-               OCB_REQUIRE(options_.parties >= 2 &&
-                               options_.parties <= chip.topology().num_cores(),
-                           "party count out of range");
                OCB_REQUIRE(options_.k >= 1, "intra-die fan-out must be >= 1");
                OCB_REQUIRE(options_.die_k >= 1, "die fan-out must be >= 1");
                OCB_REQUIRE(options_.chunk_lines >= 1,

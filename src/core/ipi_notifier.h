@@ -22,7 +22,9 @@ namespace ocb::core {
 
 class IpiNotifier {
  public:
-  explicit IpiNotifier(int parties = kNumCores);
+  /// Notification tree over cores [0, parties); no chip is bound here, so
+  /// the count is explicit (typically chip.num_cores()).
+  explicit IpiNotifier(int parties);
 
   int parties() const { return parties_; }
 

@@ -40,7 +40,8 @@
 namespace ocb::core {
 
 struct OcBcastOptions {
-  int parties = kNumCores;
+  /// Participating cores 0..parties-1; 0 = every core of the chip.
+  int parties = 0;
   int k = 7;                           ///< propagation fan-out
   std::size_t chunk_lines = 96;        ///< M_oc
   bool double_buffering = true;        ///< §4.2; off = single buffer (ablation)

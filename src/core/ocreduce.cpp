@@ -40,12 +40,12 @@ const char* reduce_op_name(ReduceOp op) {
 
 OcReduce::OcReduce(scc::SccChip& chip, OcReduceOptions options)
     : chip_(&chip),
-      options_(options),
+      options_([&] {
+        options.parties = chip.topology().resolve_parties(options.parties);
+        return options;
+      }()),
       fence_(chip,
              [&] {
-               OCB_REQUIRE(options.parties >= 2 &&
-                               options.parties <= chip.topology().num_cores(),
-                           "party count out of range");
                OCB_REQUIRE(options.k >= 1 && options.k <= options.parties - 1,
                            "fan-out must be in [1, parties-1]");
                OCB_REQUIRE(options.chunk_lines >= 1,

@@ -41,12 +41,12 @@ struct OneSidedScatterAllgather::SliceMap {
 OneSidedScatterAllgather::OneSidedScatterAllgather(scc::SccChip& chip,
                                                    OneSidedSagOptions options)
     : chip_(&chip),
-      options_(options),
+      options_([&] {
+        options.parties = chip.topology().resolve_parties(options.parties);
+        return options;
+      }()),
       fence_(chip,
              [&] {
-               OCB_REQUIRE(options.parties >= 2 &&
-                               options.parties <= chip.topology().num_cores(),
-                           "party count out of range");
                OCB_REQUIRE(options.chunk_lines >= 1,
                            "chunk must be at least one line");
                return options.mpb_base_line + kFlagLines + 3 * options.chunk_lines;

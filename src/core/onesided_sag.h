@@ -59,7 +59,8 @@
 namespace ocb::core {
 
 struct OneSidedSagOptions {
-  int parties = kNumCores;
+  /// Participating cores 0..parties-1; 0 = every core of the chip.
+  int parties = 0;
   std::size_t chunk_lines = 82;
   std::size_t mpb_base_line = 0;
 };

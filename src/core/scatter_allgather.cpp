@@ -10,9 +10,7 @@ ScatterAllgatherBcast::ScatterAllgatherBcast(scc::SccChip& chip,
                                              ScatterAllgatherOptions options)
     : options_(options),
       twosided_(std::make_unique<rma::TwoSided>(chip, options.layout)) {
-  OCB_REQUIRE(options_.parties >= 2 &&
-                  options_.parties <= chip.topology().num_cores(),
-              "party count out of range");
+  options_.parties = chip.topology().resolve_parties(options_.parties);
 }
 
 sim::Task<void> ScatterAllgatherBcast::run(scc::Core& self, CoreId root,

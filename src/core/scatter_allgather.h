@@ -23,7 +23,8 @@
 namespace ocb::core {
 
 struct ScatterAllgatherOptions {
-  int parties = kNumCores;
+  /// Participating cores 0..parties-1; 0 = every core of the chip.
+  int parties = 0;
   rma::TwoSidedLayout layout{};
 };
 

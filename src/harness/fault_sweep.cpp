@@ -44,9 +44,6 @@ FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
     chip.add_observer(checker.get());
   }
 
-  const int parties = spec.ft.parties;
-  OCB_REQUIRE(spec.root >= 0 && spec.root < parties, "root out of range");
-
   // Two algorithm arms sharing shape parameters (FT vs plain control).
   std::unique_ptr<core::FtOcBcast> ft;
   std::unique_ptr<core::OcBcast> plain;
@@ -63,6 +60,8 @@ FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
     plain = std::make_unique<core::OcBcast>(chip, o);
     algo = plain.get();
   }
+  const int parties = algo->parties();
+  OCB_REQUIRE(spec.root >= 0 && spec.root < parties, "root out of range");
 
   const std::vector<std::byte> pattern =
       make_pattern(spec.message_bytes, spec.plan.seed ^ 0xc0ffee);

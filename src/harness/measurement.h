@@ -126,11 +126,13 @@ double measure_op_completion_us(const scc::SccConfig& config, OpKind kind,
                                 CoreId actor, CoreId target, std::size_t lines,
                                 int iterations = 16);
 
-/// Finds a (actor, target) core pair whose MPB distance is exactly `d`
-/// routers; throws if none exists (valid d: 1..9 on the 6x4 mesh).
+/// Finds a (actor, target) core pair of the SCC (Topology::scc()) whose MPB
+/// distance is exactly `d` routers; throws if none exists (valid d: 1..9 on
+/// the 6x4 mesh).
 std::pair<CoreId, CoreId> core_pair_at_mpb_distance(int d);
 
-/// Finds a core whose memory-controller distance is exactly `d` (1..4).
+/// Finds an SCC core whose memory-controller distance is exactly `d`
+/// (1..4).
 CoreId core_at_mem_distance(int d);
 
 /// Figure 4: n cores concurrently accessing core 0's MPB.
@@ -149,7 +151,9 @@ ContentionResult measure_mpb_contention(const scc::SccConfig& config, int n_core
                                         int iterations = 16);
 
 /// §3.3 mesh stress: victim get latency across the (2,2)-(3,2) link while
-/// every remote core hammers flows through that link, vs. unloaded.
+/// every remote core hammers flows through that link, vs. unloaded. The
+/// flows are laid out on the SCC's 6x4 mesh; `config.topology` must be
+/// Topology::scc().
 struct MeshStressResult {
   double loaded_us = 0.0;
   double unloaded_us = 0.0;

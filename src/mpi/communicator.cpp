@@ -14,17 +14,15 @@ constexpr sim::Duration kAddCost = 15 * sim::kNanosecond;
 }  // namespace
 
 Communicator::Communicator(scc::SccChip& chip, int size)
-    : chip_(&chip), size_(size) {
-  OCB_REQUIRE(size >= 2 && size <= chip.topology().num_cores(),
-              "communicator size out of range");
+    : chip_(&chip), size_(chip.topology().resolve_parties(size)) {
   core::OcBcastOptions oc;
-  oc.parties = size;
-  oc.k = std::min(7, size - 1);
+  oc.parties = size_;
+  oc.k = std::min(7, size_ - 1);
   bcast_ = std::make_unique<core::OcBcast>(chip, oc);
   // Stack the remaining layouts behind whatever OC-Bcast occupies
   // (including its root-change fence lines).
   const std::size_t barrier_base = oc.mpb_base_line + bcast_->layout_lines();
-  barrier_ = std::make_unique<rma::FlagBarrier>(chip, barrier_base, size);
+  barrier_ = std::make_unique<rma::FlagBarrier>(chip, barrier_base, size_);
   rma::TwoSidedLayout layout;
   layout.ready_line = barrier_base + static_cast<std::size_t>(barrier_->rounds());
   layout.sent_line = layout.ready_line + 1;

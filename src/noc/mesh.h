@@ -34,10 +34,6 @@ class Mesh {
   Mesh(sim::Engine& engine, const Topology& topology, sim::Duration l_hop,
        sim::Duration link_occupancy);
 
-  /// SCC-mesh convenience (the historical signature).
-  Mesh(sim::Engine& engine, sim::Duration l_hop, sim::Duration link_occupancy)
-      : Mesh(engine, Topology::scc(), l_hop, link_occupancy) {}
-
   Mesh(const Mesh&) = delete;
   Mesh& operator=(const Mesh&) = delete;
 

@@ -13,7 +13,6 @@
 
 #include <vector>
 
-#include "noc/geometry.h"
 #include "noc/topology.h"
 
 namespace ocb::noc {
@@ -23,10 +22,6 @@ enum class Direction : std::uint8_t { kEast = 0, kWest = 1, kNorth = 2, kSouth =
 
 /// Identifier of a directed link: source router index * 4 + direction.
 using LinkId = int;
-
-/// Link-slot count of the SCC mesh; for other topologies use
-/// `topology.num_link_slots()`.
-inline constexpr int kNumLinkSlots = kNumTiles * 4;
 
 /// Directed link from `from` towards `dir` on `topo`'s mesh. The
 /// neighbouring router must exist (checked).
@@ -48,21 +43,5 @@ std::vector<LinkId> xy_route_links(const Topology& topo, TileCoord src,
 /// to pick flows through a chosen link.
 bool route_uses_link(const Topology& topo, TileCoord src, TileCoord dst,
                      TileCoord from, TileCoord towards);
-
-// --- SCC shims (see geometry.h header comment) -----------------------------
-
-inline LinkId link_id(TileCoord from, Direction dir) {
-  return link_id(Topology::scc(), from, dir);
-}
-inline std::vector<TileCoord> xy_route(TileCoord src, TileCoord dst) {
-  return xy_route(Topology::scc(), src, dst);
-}
-inline std::vector<LinkId> xy_route_links(TileCoord src, TileCoord dst) {
-  return xy_route_links(Topology::scc(), src, dst);
-}
-inline bool route_uses_link(TileCoord src, TileCoord dst, TileCoord from,
-                            TileCoord towards) {
-  return route_uses_link(Topology::scc(), src, dst, from, towards);
-}
 
 }  // namespace ocb::noc

@@ -112,6 +112,13 @@ class Topology {
     OCB_REQUIRE(tile_index >= 0 && tile_index < num_tiles_,
                 "tile index out of range");
   }
+  /// Party count of a collective over cores [0, parties): 0 means every
+  /// core of the chip; any other count must lie in [2, num_cores()].
+  int resolve_parties(int parties) const {
+    const int p = parties == 0 ? num_cores_ : parties;
+    OCB_REQUIRE(p >= 2 && p <= num_cores_, "party count out of range");
+    return p;
+  }
 
   // --- tile/core geometry (row-major over the global mesh) ----------------
   int tile_index(TileCoord t) const {

@@ -46,7 +46,7 @@
 #include <cstddef>
 
 #include "common/types.h"
-#include "noc/geometry.h"
+#include "noc/topology.h"
 #include "scc/observer.h"
 #include "sim/time.h"
 

@@ -25,7 +25,7 @@
 #include "mem/mpb.h"
 #include "mem/private_memory.h"
 #include "noc/mesh.h"
-#include "noc/memctrl.h"
+#include "noc/topology.h"
 #include "scc/config.h"
 #include "scc/core.h"
 #include "scc/observer.h"

@@ -79,8 +79,13 @@ sim::Time Core::now() const { return chip_->engine().now(); }
 std::string Core::wait_note() const {
   std::string note = wait_what_;
   if (wait_owner_ >= 0) {
-    note += " mpb[" + std::to_string(wait_owner_) + "]";
-    if (wait_line_ >= 0) note += ":" + std::to_string(wait_line_);
+    note += " mpb[";
+    note += std::to_string(wait_owner_);
+    note += ']';
+    if (wait_line_ >= 0) {
+      note += ':';
+      note += std::to_string(wait_line_);
+    }
   }
   return note;
 }

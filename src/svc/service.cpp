@@ -54,8 +54,6 @@ std::size_t fixed_layout_lines(const ServiceConfig& c) {
 std::size_t derive_chunk_lines(const ServiceConfig& c) {
   OCB_REQUIRE(c.algorithm == "ocbcast" || c.algorithm == "ft-ocbcast",
               "service algorithm must be slot-aware (ocbcast or ft-ocbcast)");
-  OCB_REQUIRE(c.parties >= 2 && c.parties <= kNumCores,
-              "party count out of range");
   OCB_REQUIRE(c.k >= 1 && c.k <= c.parties - 1, "fan-out must be in [1, parties-1]");
   OCB_REQUIRE(c.slots >= 1, "need at least one MPB slot");
   const std::size_t buffers = c.double_buffering ? 2 : 1;
@@ -161,10 +159,14 @@ struct BroadcastService::Active {
 };
 
 BroadcastService::BroadcastService(const ServiceConfig& config)
-    : config_(config),
-      chip_(std::make_unique<scc::SccChip>(config.chip)),
-      allocator_(0, config.slot_lines, config.slots),
-      chunk_lines_(derive_chunk_lines(config)) {
+    : config_([&] {
+        ServiceConfig c = config;
+        c.parties = c.chip.topology.resolve_parties(c.parties);
+        return c;
+      }()),
+      chip_(std::make_unique<scc::SccChip>(config_.chip)),
+      allocator_(0, config_.slot_lines, config_.slots),
+      chunk_lines_(derive_chunk_lines(config_)) {
   if (config_.check || env_check_enabled()) {
     checker_ = std::make_unique<check::RaceChecker>(*chip_);
     chip_->add_observer(checker_.get());

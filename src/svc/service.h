@@ -78,7 +78,8 @@ struct ServiceConfig {
   /// Registry name; must honor coll::Params::mpb_base_line and fit a slot
   /// ("ocbcast" or "ft-ocbcast").
   std::string algorithm = "ocbcast";
-  int parties = kNumCores;
+  /// Participating cores 0..parties-1; 0 = every core of the chip.
+  int parties = 0;
   int k = 7;
   bool double_buffering = true;
   /// Concurrent collectives = slots; each leases `slot_lines` MPB lines on

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "noc/topology.h"
 #include "sim/time.h"
 
 namespace ocb::svc {
@@ -34,7 +35,9 @@ struct TrafficSpec {
   std::uint64_t mean_gap_ns = 50'000;
   std::vector<SizeClass> sizes{{kCacheLineBytes, 1}, {4096, 1}, {32768, 1}};
   /// Roots are uniform over [0, parties) unless fixed_root >= 0 pins them.
-  int parties = kNumCores;
+  /// No chip is bound here: the default is the SCC's core count, and a
+  /// stream for a larger chip sets its own.
+  int parties = noc::Topology::scc().num_cores();
   CoreId fixed_root = -1;
   std::uint64_t seed = 1;
 };

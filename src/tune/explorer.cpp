@@ -139,7 +139,7 @@ std::string bool_str(bool b) { return b ? "true" : "false"; }
 /// SIZE_MAX so larger-than-grid queries resolve to the largest band.
 void append_band_rules(const std::vector<std::size_t>& sizes,
                        const std::map<std::size_t, coll::Choice>& winner,
-                       double max_fault_rate,
+                       int parties, double max_fault_rate,
                        std::vector<coll::DecisionRule>& rules) {
   const std::size_t first_rule = rules.size();
   for (const std::size_t size : sizes) {
@@ -150,7 +150,7 @@ void append_band_rules(const std::vector<std::size_t>& sizes,
       rules.back().max_lines = size;  // extend the band
     } else {
       rules.push_back(
-          coll::DecisionRule{size, kNumCores, max_fault_rate, it->second});
+          coll::DecisionRule{size, parties, max_fault_rate, it->second});
     }
   }
   if (rules.size() > first_rule) rules.back().max_lines = kNoLimit;
@@ -247,7 +247,7 @@ coll::DecisionTable derive_table(const ExploreResult& result) {
               "decision table");
 
   std::vector<coll::DecisionRule> rules;
-  append_band_rules(sizes, best, 0.0, rules);
+  append_band_rules(sizes, best, result.options.parties, 0.0, rules);
 
   // Fault winners: highest resilience, latency as the tie-break.
   std::map<std::size_t, coll::Choice> ft_best;
@@ -262,13 +262,13 @@ coll::DecisionTable derive_table(const ExploreResult& result) {
     }
   }
   if (!ft_best.empty()) {
-    append_band_rules(sizes, ft_best, 1.0, rules);
+    append_band_rules(sizes, ft_best, result.options.parties, 1.0, rules);
   } else {
     // No fault data in this sweep: hand nonzero-fault queries to the
     // checksummed FT protocol with the first band's winning shape.
     const coll::Choice& global = rules.front().choice;
     rules.push_back(coll::DecisionRule{
-        kNoLimit, kNumCores, 1.0,
+        kNoLimit, result.options.parties, 1.0,
         coll::Choice{"ft-ocbcast", global.k, global.chunk_lines,
                      global.double_buffering}});
   }

@@ -74,7 +74,8 @@ struct ExplorerOptions {
   std::vector<int> fanouts = {2, 7, 47};
   std::vector<std::size_t> chunk_grid = {48, 96};
   std::vector<bool> buffering_grid = {false, true};
-  int parties = kNumCores;
+  /// No chip is bound here: the SCC's core count unless set.
+  int parties = noc::Topology::scc().num_cores();
   /// Measured iterations per point; 0 = harness::default_iterations(lines).
   int iterations = 0;
   /// When > 0, also measure resilience: per-transaction MPB-read

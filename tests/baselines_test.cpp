@@ -36,13 +36,13 @@ bool run_named(const std::string& name, const coll::Params& params,
   scc::SccChip chip;
   auto algo = coll::make(name, chip, params);
   seed(chip, root, 0, bytes, 5);
-  for (CoreId c = 0; c < params.parties; ++c) {
+  for (CoreId c = 0; c < algo->parties(); ++c) {
     chip.spawn(c, [&algo, root, bytes](scc::Core& me) -> sim::Task<void> {
       co_await algo->run(me, root, 0, bytes);
     });
   }
   if (!chip.run().completed()) return false;
-  return delivered(chip, root, params.parties, 0, bytes);
+  return delivered(chip, root, algo->parties(), 0, bytes);
 }
 
 using Case = std::tuple<int, std::size_t, int>;  // parties, bytes, root

@@ -92,7 +92,7 @@ TEST(Interrupts, UnservedInterruptLeavesWaiterStalled) {
 
 TEST(IpiNotifier, WakesEveryCoreExactlyOnce) {
   scc::SccChip chip;
-  core::IpiNotifier notifier;
+  core::IpiNotifier notifier(chip.num_cores());
   std::array<int, kNumCores> woken{};
   std::array<sim::Time, kNumCores> when{};
   chip.spawn(0, [&](scc::Core& me) -> sim::Task<void> {

@@ -150,7 +150,10 @@ TEST(OpMeasurement, PairFinders) {
   for (int d = 1; d <= 9; ++d) {
     const auto [a, b] = core_pair_at_mpb_distance(d);
     EXPECT_NE(a, b);
-    EXPECT_EQ(noc::routers_traversed(noc::tile_of_core(a), noc::tile_of_core(b)), d);
+    const noc::Topology& scc = noc::Topology::scc();
+    EXPECT_EQ(noc::Topology::routers_traversed(scc.tile_of_core(a),
+                                               scc.tile_of_core(b)),
+              d);
   }
   EXPECT_THROW(core_pair_at_mpb_distance(10), PreconditionError);
   EXPECT_THROW(core_at_mem_distance(5), PreconditionError);
@@ -209,6 +212,26 @@ TEST(MeshStress, LoadedLinkDoesNotSlowVictim) {
   const MeshStressResult r = measure_mesh_stress(scc::SccConfig{});
   EXPECT_GT(r.unloaded_us, 0.0);
   EXPECT_LT(r.loaded_us, r.unloaded_us * 1.05);
+}
+
+TEST(MeshStress, RejectsNonSccTopologies) {
+  // The stress flows are drawn on the SCC's 6x4 tile coordinates; on any
+  // other mesh they would silently measure a different link.
+  scc::SccConfig cfg;
+  cfg.topology = noc::Topology::mesh(16, 16);
+  EXPECT_THROW(measure_mesh_stress(cfg), PreconditionError);
+  cfg.topology = noc::Topology::multi_die(2, 2, 3, 2);  // 6x4, but 4 dies
+  EXPECT_THROW(measure_mesh_stress(cfg), PreconditionError);
+}
+
+TEST(Contention, CoreCountIsBoundedByTheChip) {
+  EXPECT_THROW(measure_mpb_contention(scc::SccConfig{}, 49, 1, true, 1),
+               PreconditionError);
+  scc::SccConfig big;
+  big.topology = noc::Topology::mesh(8, 8, /*cores_per_tile=*/1);
+  const ContentionResult r = measure_mpb_contention(big, 64, 1, true, 1);
+  EXPECT_EQ(r.per_core_us.size(), 64u);
+  EXPECT_THROW(measure_mpb_contention(big, 65, 1, true, 1), PreconditionError);
 }
 
 TEST(Sweep, ProducesOnePointPerSize) {

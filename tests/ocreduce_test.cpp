@@ -202,6 +202,24 @@ TEST(OcAllreduce, EveryoneGetsTheResult) {
   }
 }
 
+TEST(OcAllreduce, DefaultOptionsSpanEveryCoreOfA256CoreMesh) {
+  scc::SccConfig cfg;
+  cfg.topology = noc::Topology::mesh(16, 16, /*cores_per_tile=*/1);
+  scc::SccChip chip(cfg);
+  OcAllreduce allreduce(chip, {});
+  constexpr std::size_t kCount = 100;
+  seed_inputs(chip, 256, 0, kCount);
+  for (CoreId c = 0; c < 256; ++c) {
+    chip.spawn(c, [&](scc::Core& me) -> sim::Task<void> {
+      co_await allreduce.run(me, 0, 1 << 16, kCount, ReduceOp::kSum);
+    });
+  }
+  ASSERT_TRUE(chip.run().completed());
+  for (CoreId c = 0; c < 256; ++c) {
+    EXPECT_TRUE(check_result(chip, c, 1 << 16, kCount, ReduceOp::kSum, 256)) << c;
+  }
+}
+
 TEST(OcAllreduce, RepeatedCallsStaySound) {
   scc::SccChip chip;
   OcAllreduce allreduce(chip, {});

@@ -361,6 +361,31 @@ TEST(Service, PreconditionsAreEnforced) {
   EXPECT_THROW(service.run(), PreconditionError) << "no requests submitted";
 }
 
+TEST(Service, DefaultPartiesServeEveryCoreOfA256CoreMesh) {
+  svc::ServiceConfig config;  // parties = 0: every core of the chip
+  config.chip.topology = noc::Topology::mesh(16, 16, /*cores_per_tile=*/1);
+
+  svc::TrafficSpec traffic;
+  traffic.requests = 6;
+  traffic.mean_gap_ns = 20'000;
+  traffic.sizes = {{kCacheLineBytes, 1}, {4096, 1}};
+  traffic.parties = 256;
+  traffic.seed = 11;
+
+  svc::BroadcastService service(config);
+  service.submit(svc::generate_requests(traffic));
+  const svc::ServiceMetrics m = service.run();
+  EXPECT_EQ(m.completed, 6u);
+  EXPECT_EQ(m.rejected, 0u);
+  EXPECT_TRUE(m.content_ok);
+  bool high_root = false;
+  for (const svc::RequestOutcome& o : service.outcomes()) {
+    EXPECT_TRUE(o.content_ok) << "request " << o.id;
+    high_root = high_root || o.root >= 48;
+  }
+  EXPECT_TRUE(high_root) << "the seeded stream roots some request beyond core 47";
+}
+
 // --- smoke: the CI `service-smoke` target runs exactly this suite -----------
 
 TEST(ServiceSmoke, MixedLoadAllFortyEightCores) {

@@ -1,9 +1,9 @@
 // noc::Topology — the geometry API behind every chip (DESIGN.md §14).
 //
 // Four contracts are gated here:
-//  * Topology::scc() reproduces the legacy global-constant geometry
-//    bit-for-bit: tile/core maps, the quadrant memory-controller
-//    assignment, and distances.
+//  * Topology::scc() reproduces the paper's SCC geometry bit-for-bit:
+//    tile/core maps, the quadrant memory-controller assignment, and
+//    distances.
 //    (The timeline-level half of this gate — fig4 / fault_test /
 //    trace_timeline byte-identity — runs in CI against captured
 //    baselines.)
@@ -21,11 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "coll/adaptive.h"
 #include "coll/registry.h"
 #include "core/hier_bcast.h"
 #include "harness/measurement.h"
-#include "noc/geometry.h"
-#include "noc/memctrl.h"
 #include "noc/topology.h"
 #include "scc/chip.h"
 #include "sim/engine.h"
@@ -38,16 +37,16 @@ using noc::Topology;
 
 // --- Topology::scc() equivalence -------------------------------------------
 
-TEST(TopologyScc, ReproducesLegacyConstants) {
+TEST(TopologyScc, ReproducesTheSccFloorplan) {
   const Topology& t = Topology::scc();
-  EXPECT_EQ(t.num_cores(), kNumCores);
-  EXPECT_EQ(t.num_tiles(), kNumTiles);
-  EXPECT_EQ(t.mesh_cols(), kMeshCols);
-  EXPECT_EQ(t.mesh_rows(), kMeshRows);
+  EXPECT_EQ(t.num_cores(), 48);
+  EXPECT_EQ(t.num_tiles(), 24);
+  EXPECT_EQ(t.mesh_cols(), 6);
+  EXPECT_EQ(t.mesh_rows(), 4);
   EXPECT_EQ(t.cores_per_tile(), 2);
   EXPECT_EQ(t.num_dies(), 1);
-  EXPECT_EQ(t.num_memory_controllers(), noc::kNumMemoryControllers);
-  for (CoreId c = 0; c < kNumCores; ++c) {
+  EXPECT_EQ(t.num_memory_controllers(), 4);
+  for (CoreId c = 0; c < t.num_cores(); ++c) {
     // Legacy layout: cores 2t, 2t+1 on tile t; tiles row-major on 6x4.
     EXPECT_EQ(t.tile_index_of_core(c), c / 2);
     EXPECT_EQ(t.tile_of_core(c), (TileCoord{(c / 2) % 6, (c / 2) / 6}));
@@ -61,15 +60,6 @@ TEST(TopologyScc, ReproducesLegacyConstants) {
   const TileCoord mc_tiles[] = {{0, 0}, {5, 0}, {0, 2}, {5, 2}};
   for (int m = 0; m < 4; ++m) EXPECT_EQ(t.mc_tile(m), mc_tiles[m]);
   EXPECT_EQ(t.describe(), "scc");
-}
-
-TEST(TopologyScc, GeometryShimsForwardToScc) {
-  // The legacy free helpers must stay exact aliases of Topology::scc().
-  for (CoreId c = 0; c < kNumCores; ++c) {
-    EXPECT_EQ(noc::tile_of_core(c), Topology::scc().tile_of_core(c));
-    EXPECT_EQ(noc::mc_index_for_core(c), Topology::scc().mc_index_for_core(c));
-    EXPECT_EQ(noc::mem_distance(c), Topology::scc().mem_distance(c));
-  }
 }
 
 // --- non-default meshes ----------------------------------------------------
@@ -189,6 +179,42 @@ TEST(TopologyChips, OcBcastDeliversOn256CoreMesh) {
     const harness::BcastRunResult run = harness::run_broadcast(spec);
     EXPECT_TRUE(run.content_ok);
     EXPECT_GT(run.latency_us.mean(), 0.0);
+  }
+}
+
+// --- one party-count rule -------------------------------------------------
+
+TEST(TopologyParties, ZeroMeansEveryCoreAndCountsAreBounded) {
+  const Topology big = Topology::mesh(16, 16, /*cores_per_tile=*/1);
+  EXPECT_EQ(big.resolve_parties(0), 256);
+  EXPECT_EQ(big.resolve_parties(200), 200);
+  EXPECT_EQ(Topology::scc().resolve_parties(0), 48);
+  EXPECT_EQ(Topology::scc().resolve_parties(2), 2);
+  EXPECT_THROW(Topology::scc().resolve_parties(49), PreconditionError);
+  EXPECT_THROW(Topology::scc().resolve_parties(1), PreconditionError);
+  EXPECT_THROW(Topology::scc().resolve_parties(-1), PreconditionError);
+  EXPECT_THROW(Topology::mesh(1, 1, 1).resolve_parties(0), PreconditionError);
+}
+
+TEST(TopologyParties, DefaultParamsSpanEveryCoreOfA256CoreMesh) {
+  // Default Params once meant the SCC's 48 cores on any chip, and
+  // "adaptive"'s decision table (every rule max_parties = 48) fell through
+  // its catch-all beyond 48 parties.
+  coll::register_adaptive();
+  for (const char* algorithm : {"ocbcast", "adaptive"}) {
+    SCOPED_TRACE(algorithm);
+    harness::BcastRunSpec spec;
+    spec.algorithm_name = algorithm;
+    spec.config.topology = Topology::mesh(16, 16, /*cores_per_tile=*/1);
+    spec.message_bytes = 96 * kCacheLineBytes;
+    spec.iterations = 1;
+    spec.warmup = 0;
+    harness::BcastSession session(spec);
+    const harness::BcastRunResult run = session.run();
+    EXPECT_TRUE(run.content_ok);
+    const auto sent = session.chip().memory(0).host_bytes(0, spec.message_bytes);
+    const auto last = session.chip().memory(255).host_bytes(0, spec.message_bytes);
+    EXPECT_TRUE(std::equal(sent.begin(), sent.end(), last.begin()));
   }
 }
 

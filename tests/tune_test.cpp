@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -94,6 +96,46 @@ TEST(Decision, BakedInCoversTheWholeSpace) {
   EXPECT_EQ(table.lookup(32768, 48, 0.0).algorithm, "ocbcast");
   EXPECT_EQ(table.lookup(1, 48, 0.5).algorithm, "ft-ocbcast");
   EXPECT_EQ(table.lookup(kNoLimit, 48, 1.0).algorithm, "ft-ocbcast");
+}
+
+TEST(Decision, LargerPartyCountsAnswerAsAtTheCatchAll) {
+  // Tuned at 16 parties: a query for more parties is answered as at 16.
+  const coll::DecisionTable table({
+      coll::DecisionRule{4, 8, 0.0, coll::Choice{"binomial", 2, 48, false}},
+      coll::DecisionRule{kNoLimit, 16, 1.0,
+                         coll::Choice{"ocbcast", 7, 96, true}},
+  });
+  EXPECT_EQ(table.lookup(1, 8, 0.0).algorithm, "binomial");
+  EXPECT_EQ(table.lookup(1, 9, 0.0).algorithm, "ocbcast");
+  EXPECT_EQ(table.lookup(1, 256, 0.0).algorithm, "ocbcast");
+  EXPECT_EQ(table.lookup(kNoLimit, 1024, 1.0).algorithm, "ocbcast");
+  // A catch-all narrower in parties than an earlier band is no catch-all.
+  EXPECT_THROW(coll::DecisionTable({
+                   coll::DecisionRule{4, 64, 0.0, coll::Choice{}},
+                   coll::DecisionRule{kNoLimit, 16, 1.0, coll::Choice{}}}),
+               PreconditionError);
+}
+
+TEST(Decision, CommittedParetoTableParsesUnchanged) {
+  // results/autotune_pareto.json embeds a table tuned at 48 parties; it
+  // must still load, re-serialize byte for byte, and answer 256 parties
+  // as it answers 48.
+  std::ifstream in(OCB_RESULTS_DIR "/autotune_pareto.json");
+  ASSERT_TRUE(in.good());
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string record = buf.str();
+  const std::size_t at = record.find("\"decision_table\"");
+  ASSERT_NE(at, std::string::npos);
+  const coll::DecisionTable table =
+      coll::DecisionTable::from_json(record.substr(at));
+  EXPECT_NE(record.find(table.to_json()), std::string::npos);
+  for (const std::size_t lines : {std::size_t{1}, std::size_t{48}, kNoLimit}) {
+    for (const double rate : {0.0, 0.5}) {
+      EXPECT_EQ(table.lookup(lines, 256, rate).key(),
+                table.lookup(lines, 48, rate).key());
+    }
+  }
 }
 
 // --- the adaptive collective ------------------------------------------------
