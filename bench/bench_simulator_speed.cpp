@@ -7,7 +7,7 @@
 //   (default)                 google-benchmark over the same workloads
 //   --json_out=PATH           run the fixed workload set once and write a
 //                             machine-readable record (events/sec per
-//                             workload, queue depth, allocator counters);
+//                             workload, queue depth, fast-path counters);
 //                             results/bench_simulator_speed.json is the
 //                             committed perf-trajectory file (see README)
 //   --perf_smoke=BASELINE     re-run the gating workloads (plain, checked,
@@ -16,10 +16,12 @@
 //                             (a --json_out file); this is the
 //                             `perf-smoke` CMake target.
 //   --exact_check=BASELINE    run every workload once and exit 1
-//                             unless its `events` and `max_queue_depth`
-//                             equal BASELINE's row exactly; host-independent
-//                             (the counters are deterministic), this is the
-//                             `exact-counters` ctest target.
+//                             unless its `events`, `max_queue_depth` and
+//                             (where the row has them) `bulk_ops` and
+//                             `bulk_fallback_lines` equal BASELINE's row
+//                             exactly; host-independent (the counters are
+//                             deterministic), this is the `exact-counters`
+//                             ctest target.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -38,6 +41,7 @@
 #include "harness/fault_sweep.h"
 #include "harness/measurement.h"
 #include "noc/topology.h"
+#include "scc/chip.h"
 #include "scc/trace_json.h"
 #include "svc/service.h"
 
@@ -98,22 +102,29 @@ struct WorkloadRecord {
   std::uint64_t events = 0;
   double events_per_sec = 0.0;  ///< best across repetitions
   std::uint64_t max_queue_depth = 0;
-  std::uint64_t frame_allocs = 0;  ///< non-zero only under OCB_SIM_STATS
-  std::uint64_t frame_reuses = 0;
-  /// Observer-batching statistics; non-zero only under OCB_SIM_STATS.
-  /// bulk_ops_observed / bulk_ops is the fast-path hit rate under an
-  /// observer chain; bulk_fallback_lines counts per-line replays.
-  std::uint64_t bulk_ops = 0;
-  std::uint64_t bulk_ops_observed = 0;
-  std::uint64_t bulk_fallback_ops = 0;
-  std::uint64_t bulk_fallback_lines = 0;
+  /// The fast-path counters of the chip that ran the row. ops_observed /
+  /// ops is the fast-path hit rate under an observer chain; fallback_lines
+  /// counts per-line replays. Empty for rows whose helper builds its chips
+  /// internally (fig4, fault sweep), which have no chip to read.
+  std::optional<scc::SccChip::BulkObserverStats> bulk;
 };
 
-void copy_bulk_stats(WorkloadRecord& w, const harness::BcastRunResult& r) {
-  w.bulk_ops = r.bulk_ops;
-  w.bulk_ops_observed = r.bulk_ops_observed;
-  w.bulk_fallback_ops = r.bulk_fallback_ops;
-  w.bulk_fallback_lines = r.bulk_fallback_lines;
+// The one way a row that can see its chip is recorded: engine facts from
+// the run, fast-path counters from the chip (their only home). Each row
+// runs one chip once, so the chip's lifetime totals are the row's.
+WorkloadRecord chip_record(std::uint64_t events, std::uint64_t max_queue_depth,
+                           const scc::SccChip& chip) {
+  WorkloadRecord w;
+  w.events = events;
+  w.max_queue_depth = max_queue_depth;
+  w.bulk = chip.bulk_stats();
+  return w;
+}
+
+WorkloadRecord run_session(const harness::BcastRunSpec& spec) {
+  harness::BcastSession session(spec);
+  const harness::BcastRunResult r = session.run();
+  return chip_record(r.events, r.max_queue_depth, session.chip());
 }
 
 // --exact_check needs each workload's counters, which every repetition
@@ -142,28 +153,15 @@ WorkloadRecord best_of(const std::string& name, int max_reps, Fn&& once) {
     }
     w.events = r.events;
     w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    w.bulk_ops = r.bulk_ops;
-    w.bulk_ops_observed = r.bulk_ops_observed;
-    w.bulk_fallback_ops = r.bulk_fallback_ops;
-    w.bulk_fallback_lines = r.bulk_fallback_lines;
+    w.bulk = r.bulk;
   }
   return w;
 }
 
 WorkloadRecord run_ocbcast_workload(std::size_t lines) {
   const int reps = lines >= 8192 ? 3 : 10;
-  return best_of("ocbcast_" + std::to_string(lines), reps, [lines] {
-    const harness::BcastRunResult r = run_broadcast(ocbcast_spec(lines));
-    WorkloadRecord w;
-    w.events = r.events;
-    w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    copy_bulk_stats(w, r);
-    return w;
-  });
+  return best_of("ocbcast_" + std::to_string(lines), reps,
+                 [lines] { return run_session(ocbcast_spec(lines)); });
 }
 
 // The plain 1024-line broadcast on a 256-core 16x16 mesh (one core per
@@ -175,14 +173,7 @@ WorkloadRecord run_ocbcast_mesh_workload() {
     harness::BcastRunSpec spec = ocbcast_spec(1024);
     spec.config.topology = noc::Topology::mesh(16, 16, /*cores_per_tile=*/1);
     spec.params.parties = 0;  // all 256 cores
-    const harness::BcastRunResult r = run_broadcast(spec);
-    WorkloadRecord w;
-    w.events = r.events;
-    w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    copy_bulk_stats(w, r);
-    return w;
+    return run_session(spec);
   });
 }
 
@@ -195,14 +186,7 @@ WorkloadRecord run_ocbcast_dies_workload() {
     harness::BcastRunSpec spec = ocbcast_spec(96);
     spec.config.topology = noc::Topology::parse("dies:2x2:mesh:16x8");
     spec.params.parties = 0;  // all 1024 cores
-    const harness::BcastRunResult r = run_broadcast(spec);
-    WorkloadRecord w;
-    w.events = r.events;
-    w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    copy_bulk_stats(w, r);
-    return w;
+    return run_session(spec);
   });
 }
 
@@ -215,14 +199,7 @@ WorkloadRecord run_ocbcast_checked_workload() {
   return best_of("ocbcast_1024_checked", 10, [] {
     harness::BcastRunSpec spec = ocbcast_spec(1024);
     spec.check = true;
-    const harness::BcastRunResult r = run_broadcast(spec);
-    WorkloadRecord w;
-    w.events = r.events;
-    w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    copy_bulk_stats(w, r);
-    return w;
+    return run_session(spec);
   });
 }
 
@@ -236,13 +213,7 @@ WorkloadRecord run_ocbcast_traced_workload() {
     scc::JsonTraceCollector trace;
     session.chip().set_trace_sink(trace.sink());
     const harness::BcastRunResult r = session.run();
-    WorkloadRecord w;
-    w.events = r.events;
-    w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    copy_bulk_stats(w, r);
-    return w;
+    return chip_record(r.events, r.max_queue_depth, session.chip());
   });
 }
 
@@ -255,14 +226,7 @@ WorkloadRecord run_adaptive_workload() {
   return best_of("adaptive_1024", 10, [] {
     harness::BcastRunSpec spec = ocbcast_spec(1024);
     spec.algorithm_name = "adaptive";
-    const harness::BcastRunResult r = run_broadcast(spec);
-    WorkloadRecord w;
-    w.events = r.events;
-    w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    copy_bulk_stats(w, r);
-    return w;
+    return run_session(spec);
   });
 }
 
@@ -279,16 +243,11 @@ WorkloadRecord run_fig4_workload() {
 
 WorkloadRecord run_service_workload() {
   return best_of("service_mixed_load", 5, [] {
-    const svc::ServiceMetrics m =
-        svc::run_service(svc::ServiceConfig{}, service_traffic());
-    WorkloadRecord w;
-    w.events = m.engine_events;
-    w.max_queue_depth = m.engine_max_queue_depth;
-    w.bulk_ops = m.bulk_ops;
-    w.bulk_ops_observed = m.bulk_ops_observed;
-    w.bulk_fallback_ops = m.bulk_fallback_ops;
-    w.bulk_fallback_lines = m.bulk_fallback_lines;
-    return w;
+    svc::BroadcastService service(svc::ServiceConfig{});
+    service.submit(svc::generate_requests(service_traffic()));
+    const svc::ServiceMetrics m = service.run();
+    return chip_record(m.engine_events, m.engine_max_queue_depth,
+                       service.chip());
   });
 }
 
@@ -318,14 +277,15 @@ void append_record(std::ostringstream& out, const WorkloadRecord& w,
       << "      \"wall_s\": " << wall << ",\n"
       << "      \"events\": " << w.events << ",\n"
       << "      \"events_per_sec\": " << rate << ",\n"
-      << "      \"max_queue_depth\": " << w.max_queue_depth << ",\n"
-      << "      \"frame_allocs\": " << w.frame_allocs << ",\n"
-      << "      \"frame_reuses\": " << w.frame_reuses << ",\n"
-      << "      \"bulk_ops\": " << w.bulk_ops << ",\n"
-      << "      \"bulk_ops_observed\": " << w.bulk_ops_observed << ",\n"
-      << "      \"bulk_fallback_ops\": " << w.bulk_fallback_ops << ",\n"
-      << "      \"bulk_fallback_lines\": " << w.bulk_fallback_lines << "\n"
-      << "    }" << (last ? "\n" : ",\n");
+      << "      \"max_queue_depth\": " << w.max_queue_depth;
+  if (w.bulk) {
+    out << ",\n"
+        << "      \"bulk_ops\": " << w.bulk->ops << ",\n"
+        << "      \"bulk_ops_observed\": " << w.bulk->ops_observed << ",\n"
+        << "      \"bulk_fallback_ops\": " << w.bulk->fallback_ops << ",\n"
+        << "      \"bulk_fallback_lines\": " << w.bulk->fallback_lines;
+  }
+  out << "\n    }" << (last ? "\n" : ",\n");
 }
 
 int json_out_mode(const std::string& path) {
@@ -352,7 +312,7 @@ int json_out_mode(const std::string& path) {
   records.push_back(run_fault_sweep_workload());
 
   std::ostringstream out;
-  out << "{\n  \"schema\": \"ocb-bench-simulator-speed-v6\",\n"
+  out << "{\n  \"schema\": \"ocb-bench-simulator-speed-v7\",\n"
       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n"
       << "  \"workloads\": [\n";
@@ -374,13 +334,16 @@ int json_out_mode(const std::string& path) {
 
 // Minimal scan of our own --json_out format: where the value of `key` in
 // the named workload's row starts, or nullptr if the row or key is missing.
+// The search stops at the row's closing brace: rows differ in their keys
+// (only chip-reading rows have bulk_*), so a missing key must not be read
+// from the next row.
 const char* baseline_field(const std::string& json, const std::string& workload,
                            const std::string& key) {
   const std::size_t at = json.find("\"name\": \"" + workload + "\"");
   if (at == std::string::npos) return nullptr;
   const std::string k = "\"" + key + "\": ";
   const std::size_t pos = json.find(k, at);
-  if (pos == std::string::npos) return nullptr;
+  if (pos == std::string::npos || pos > json.find('}', at)) return nullptr;
   return json.c_str() + pos + k.size();
 }
 
@@ -487,9 +450,12 @@ int perf_smoke_mode(const std::string& baseline_path) {
   return 0;
 }
 
-// Every workload's `events` and `max_queue_depth` must equal the
+// Every workload's `events` and `max_queue_depth`, and the `bulk_ops` and
+// `bulk_fallback_lines` of every row that reads a chip, must equal the
 // baseline's bit for bit: an event-count or queue-depth change is a design
-// change on any host, whatever its speed.
+// change on any host, whatever its speed. Event parity keeps `events`
+// identical with the coalesced fast path on or off, so only the bulk
+// counters notice when the fast path is lost.
 int exact_check_mode(const std::string& baseline_path) {
   std::string json;
   if (!read_file(baseline_path, json)) {
@@ -513,8 +479,12 @@ int exact_check_mode(const std::string& baseline_path) {
 
   bool ok = true;
   for (const WorkloadRecord& w : live) {
-    const std::pair<const char*, std::uint64_t> counters[] = {
+    std::vector<std::pair<const char*, std::uint64_t>> counters = {
         {"events", w.events}, {"max_queue_depth", w.max_queue_depth}};
+    if (w.bulk) {
+      counters.emplace_back("bulk_ops", w.bulk->ops);
+      counters.emplace_back("bulk_fallback_lines", w.bulk->fallback_lines);
+    }
     for (const auto& [key, value] : counters) {
       const char* v = baseline_field(json, w.name, key);
       if (v == nullptr) {
@@ -559,9 +529,6 @@ void bench_event_loop_throughput(benchmark::State& state) {
   state.counters["events_per_run"] =
       static_cast<double>(events) / static_cast<double>(state.iterations());
   state.counters["max_queue_depth"] = static_cast<double>(last.max_queue_depth);
-  // Frame-pool counters are all zero unless built with -DOCB_SIM_STATS=ON.
-  state.counters["frame_allocs"] = static_cast<double>(last.frame_allocs);
-  state.counters["frame_reuses"] = static_cast<double>(last.frame_reuses);
 }
 BENCHMARK(bench_event_loop_throughput)
     ->Arg(96)

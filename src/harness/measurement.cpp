@@ -113,12 +113,6 @@ BcastRunResult BcastSession::run() {
   out.simulated_ms = sim::to_seconds(run.end_time) * 1e3;
   out.end_time = run.end_time;
   out.max_queue_depth = run.max_queue_depth;
-  out.frame_allocs = run.frame_allocs;
-  out.frame_reuses = run.frame_reuses;
-  out.bulk_ops = run.bulk_ops;
-  out.bulk_ops_observed = run.bulk_ops_observed;
-  out.bulk_fallback_ops = run.bulk_fallback_ops;
-  out.bulk_fallback_lines = run.bulk_fallback_lines;
   for (int it = spec_.warmup; it < total; ++it) {
     const auto i = static_cast<std::size_t>(it);
     const sim::Time last = *std::max_element(finish[i].begin(), finish[i].end());

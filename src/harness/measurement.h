@@ -55,23 +55,9 @@ struct BcastRunResult {
   sim::Time end_time = 0;  ///< simulated clock when the queue drained
   /// Engine-lifetime high-water mark of the event queue (sim::RunResult).
   std::uint64_t max_queue_depth = 0;
-  /// Coroutine-frame allocator counters for this run() call; non-zero only
-  /// when built with OCB_SIM_STATS (see sim/frame_pool.h).
-  std::uint64_t frame_allocs = 0;
-  std::uint64_t frame_reuses = 0;
   /// Race-checker results for this run() call (spec.check / OCB_CHECK).
   std::uint64_t race_violations = 0;
   std::string race_report{};
-  /// Fast-path statistics for this run() call (nonzero only in
-  /// OCB_SIM_STATS builds): coalesced ops launched, ops launched while an
-  /// observer chain was installed (the fast path the capability model
-  /// keeps open), and ops (with their line count) that fell back to the
-  /// per-line path because an observer's bulk window was closed or the
-  /// BulkOp pool was exhausted.
-  std::uint64_t bulk_ops = 0;
-  std::uint64_t bulk_ops_observed = 0;
-  std::uint64_t bulk_fallback_ops = 0;
-  std::uint64_t bulk_fallback_lines = 0;
 };
 
 /// Reusable measurement session: one chip and one algorithm instance

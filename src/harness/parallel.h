@@ -3,7 +3,7 @@
 // Simulator runs are single-threaded and deterministic, but a *sweep*
 // (many seeds, many jitter combos, many what-if configs) is embarrassingly
 // parallel: every replication builds its own SccChip, so replications share
-// no mutable state (the coroutine frame pool is thread_local). parallel_map
+// no mutable state. parallel_map
 // fans replications out over a std::thread pool and returns results in
 // index order, which makes a parallel sweep bit-identical to the serial
 // one — the merge order, and therefore every aggregate, is the task index

@@ -74,8 +74,9 @@ enum class BulkKind {
   kGetMpbToMem,  ///< remote MPB lines -> private memory
 };
 
-/// Reusable per-core fast-path engine (a core runs one RMA op at a time;
-/// SccChip keeps one BulkOp per core, created on first use).
+/// Reusable fast-path engine for one RMA op at a time. SccChip keeps a pool
+/// of up to SccChip::kBulkPoolSize per core, each created on first use
+/// (see SccChip::try_acquire_bulk).
 class BulkOp {
  public:
   explicit BulkOp(Core& self);
@@ -101,15 +102,18 @@ class BulkOp {
   /// coroutine resumes at exactly the completion time the per-line path
   /// would produce. `op_overhead` is the per-operation software cost
   /// (o_put_mpb et al.) the per-line path pays via busy(). Caller has
-  /// already validated ranges (rma.cpp does) and checked in_flight().
+  /// already validated ranges (rma.cpp does) and got this op idle from
+  /// SccChip::try_acquire_bulk.
   Awaiter run(BulkKind kind, sim::Duration op_overhead, CoreId mpb_owner,
               std::size_t mpb_line, std::size_t local_index, std::size_t lines);
 
-  /// True while an op is running on this core's BulkOp. A plain core has at
-  /// most one RMA op in flight, but the broadcast service (svc/) multiplexes
+  /// True while an op is running on this BulkOp. A plain core has at most
+  /// one RMA op in flight, but the broadcast service (svc/) multiplexes
   /// several collective participations onto one core as interleaved
-  /// coroutines; rma.cpp routes any op that finds the BulkOp busy through
-  /// the per-line reference path instead (identical timing by construction).
+  /// coroutines. SccChip::try_acquire_bulk hands out an idle pool member;
+  /// when all kBulkPoolSize are in flight the op takes the per-line
+  /// reference path instead (identical timing by construction) and is
+  /// counted as a fallback.
   bool in_flight() const { return in_flight_; }
 
  private:

@@ -124,17 +124,6 @@ void SccChip::spawn(CoreId id, std::function<sim::Task<void>(Core&)> program) {
                 &SccChip::describe_core, &c);
 }
 
-sim::RunResult SccChip::run(std::uint64_t max_events) {
-  const BulkObserverStats before = bulk_stats_;
-  sim::RunResult result = engine_.run(max_events);
-  result.bulk_ops = bulk_stats_.ops - before.ops;
-  result.bulk_ops_observed = bulk_stats_.ops_observed - before.ops_observed;
-  result.bulk_fallback_ops = bulk_stats_.fallback_ops - before.fallback_ops;
-  result.bulk_fallback_lines =
-      bulk_stats_.fallback_lines - before.fallback_lines;
-  return result;
-}
-
 void SccChip::add_observer(TransactionObserver* observer) {
   OCB_REQUIRE(observer != nullptr, "null observer");
   for (const TransactionObserver* o : observers_) {

@@ -68,7 +68,9 @@ class SccChip {
   void spawn(CoreId id, std::function<sim::Task<void>(Core&)> program);
 
   /// Runs the event loop to completion; see sim::Engine::run.
-  sim::RunResult run(std::uint64_t max_events = UINT64_MAX);
+  sim::RunResult run(std::uint64_t max_events = UINT64_MAX) {
+    return engine_.run(max_events);
+  }
 
   // --- instrumentation: the TransactionObserver chain ---------------------
 
@@ -137,9 +139,10 @@ class SccChip {
   /// AND over the chain's per-op gate promises for `core` at now().
   bool bulk_window_clear(CoreId core);
 
-  /// Fast-path hit/fallback counters (increments compiled in only
-  /// with OCB_SIM_STATS). Cumulative over the chip's lifetime; run()
-  /// reports per-run deltas in RunResult.
+  /// Fast-path hit/fallback counters, always counted and cumulative over
+  /// the chip's lifetime. Event parity makes `events` identical with the
+  /// fast path on or off, so these are what shows whether it ran
+  /// (exact-counters gates them).
   struct BulkObserverStats {
     std::uint64_t ops = 0;            ///< coalesced ops launched
     std::uint64_t ops_observed = 0;   ///< ... with observers installed
@@ -148,20 +151,12 @@ class SccChip {
   };
   const BulkObserverStats& bulk_stats() const { return bulk_stats_; }
   void note_bulk_op(bool observed) {
-#ifdef OCB_SIM_STATS
     ++bulk_stats_.ops;
     if (observed) ++bulk_stats_.ops_observed;
-#else
-    (void)observed;
-#endif
   }
   void note_bulk_fallback(std::size_t lines) {
-#ifdef OCB_SIM_STATS
     ++bulk_stats_.fallback_ops;
     bulk_stats_.fallback_lines += lines;
-#else
-    (void)lines;
-#endif
   }
 
  private:

@@ -56,9 +56,6 @@ void Engine::spawn(Task<void> task, std::string (*describe)(void*),
 }
 
 RunResult Engine::run(std::uint64_t max_events) {
-#ifdef OCB_SIM_STATS
-  const FramePool::Stats pool_before = FramePool::stats();
-#endif
   std::uint64_t processed = 0;
   while (!queue_.empty() && processed < max_events) {
     const Event ev = queue_.pop();
@@ -83,11 +80,6 @@ RunResult Engine::run(std::uint64_t max_events) {
   result.end_time = now_;
   result.max_queue_depth = max_queue_depth_;
   result.drained = queue_.empty();
-#ifdef OCB_SIM_STATS
-  const FramePool::Stats pool_after = FramePool::stats();
-  result.frame_allocs = pool_after.fresh - pool_before.fresh;
-  result.frame_reuses = pool_after.reused - pool_before.reused;
-#endif
   if (live_processes() > 0) {
     for (std::size_t i = 0; i < roots_.size(); ++i) {
       const Root& root = roots_[i];

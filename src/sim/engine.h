@@ -23,13 +23,13 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/frame_pool.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
@@ -65,12 +65,6 @@ struct RootPromise {
 
   void return_void() noexcept {}
   void unhandled_exception() noexcept;
-
-  static void* operator new(std::size_t bytes) { return FramePool::allocate(bytes); }
-  static void operator delete(void* p) noexcept { FramePool::deallocate(p); }
-  static void operator delete(void* p, std::size_t) noexcept {
-    FramePool::deallocate(p);
-  }
 };
 
 }  // namespace detail
@@ -91,21 +85,6 @@ struct RunResult {
   /// `max_events` (a queue that empties on exactly the last budgeted event
   /// counts as drained).
   bool drained = false;
-  /// Coroutine-frame allocation counters for this run (deltas; non-zero
-  /// only when built with OCB_SIM_STATS): frames taken from the system
-  /// allocator vs. recycled through the sim::FramePool free lists.
-  std::uint64_t frame_allocs = 0;
-  std::uint64_t frame_reuses = 0;
-  /// Coalesced-RMA fast-path counters for this run (deltas; filled by
-  /// SccChip::run, zero for plain Engine runs and non-OCB_SIM_STATS
-  /// builds): ops that took the fast path (and how many of those ran with
-  /// observers installed), plus ops denied the fast path at acquisition
-  /// (gate window not clear, per-core pool exhausted) and the lines those
-  /// ops replayed through the per-line reference path.
-  std::uint64_t bulk_ops = 0;
-  std::uint64_t bulk_ops_observed = 0;
-  std::uint64_t bulk_fallback_ops = 0;
-  std::uint64_t bulk_fallback_lines = 0;
   /// One entry per stalled process: its spawn label plus the wait reason it
   /// last reported (see Engine::spawn), e.g. "core 12: flag-wait mpb[7]:3".
   /// Makes fault-induced hangs diagnosable without a debugger.

@@ -20,7 +20,6 @@
 #include <utility>
 
 #include "common/require.h"
-#include "sim/frame_pool.h"
 
 namespace ocb::sim {
 
@@ -46,14 +45,6 @@ struct TaskPromiseBase {
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   TaskFinalAwaiter final_suspend() noexcept { return {}; }
-
-  // Frames are recycled through the thread-local FramePool: per-line
-  // transaction coroutines dominate the simulator's allocation traffic.
-  static void* operator new(std::size_t bytes) { return FramePool::allocate(bytes); }
-  static void operator delete(void* p) noexcept { FramePool::deallocate(p); }
-  static void operator delete(void* p, std::size_t) noexcept {
-    FramePool::deallocate(p);
-  }
 };
 
 template <typename T>

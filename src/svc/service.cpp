@@ -359,10 +359,6 @@ ServiceMetrics BroadcastService::run() {
   m.makespan = rr.end_time;
   m.engine_events = rr.events_processed;
   m.engine_max_queue_depth = rr.max_queue_depth;
-  m.bulk_ops = rr.bulk_ops;
-  m.bulk_ops_observed = rr.bulk_ops_observed;
-  m.bulk_fallback_ops = rr.bulk_fallback_ops;
-  m.bulk_fallback_lines = rr.bulk_fallback_lines;
   for (const RequestOutcome& out : outcomes_) {
     if (out.rejected) continue;
     ++m.completed;

@@ -128,15 +128,6 @@ struct ServiceMetrics {
   /// Simulator-side counters (sim::RunResult), for the speed bench.
   std::uint64_t engine_events = 0;
   std::uint64_t engine_max_queue_depth = 0;
-  /// Fast-path counters (sim::RunResult, nonzero only in
-  /// OCB_SIM_STATS builds). Host-side diagnostics: they depend on the
-  /// coalescing configuration, so — unlike everything above — they are
-  /// deliberately NOT part of to_json(), which must stay bit-identical
-  /// with the fast path on or off.
-  std::uint64_t bulk_ops = 0;
-  std::uint64_t bulk_ops_observed = 0;
-  std::uint64_t bulk_fallback_ops = 0;
-  std::uint64_t bulk_fallback_lines = 0;
 
   /// Goodput over the run: delivered_bytes / makespan.
   double throughput_mbps() const;

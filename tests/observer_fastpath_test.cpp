@@ -8,7 +8,9 @@
 // verdicts and their full provenance (seqs, times, stages), rendered
 // trace JSON bytes, fault outcomes and injection counts, and service SLO
 // metrics must be bit-identical with the fast path forced on vs off.
-// These tests run every registry algorithm both ways and compare.
+// These tests run every registry algorithm both ways and compare. Because
+// nothing observable moves, the chip's always-on fast-path counters
+// (SccChip::bulk_stats) are what shows the fast path actually ran.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -53,6 +55,37 @@ void expect_same_timeline(const harness::BcastRunResult& on,
   }
   EXPECT_TRUE(on.content_ok);
   EXPECT_TRUE(off.content_ok);
+}
+
+scc::SccChip::BulkObserverStats session_bulk_stats(
+    const harness::BcastRunSpec& spec) {
+  harness::BcastSession session(spec);
+  EXPECT_TRUE(session.run().content_ok);
+  return session.chip().bulk_stats();
+}
+
+// --- fast-path counters -----------------------------------------------------
+
+// A plain session counts its coalesced ops; race-checked, the same ops
+// all run observed; with coalescing off there are none to count.
+TEST(ObserverFastpath, SessionCountsFastPathOps) {
+  const scc::SccChip::BulkObserverStats plain =
+      session_bulk_stats(spec_for("ocbcast", true));
+  EXPECT_GT(plain.ops, 0u);
+  EXPECT_EQ(plain.fallback_ops, 0u);
+
+  harness::BcastRunSpec checked_spec = spec_for("ocbcast", true);
+  checked_spec.check = true;
+  const scc::SccChip::BulkObserverStats checked =
+      session_bulk_stats(checked_spec);
+  EXPECT_EQ(checked.ops, plain.ops);
+  EXPECT_EQ(checked.ops_observed, checked.ops);
+  EXPECT_EQ(checked.fallback_ops, 0u);
+
+  const scc::SccChip::BulkObserverStats off =
+      session_bulk_stats(spec_for("ocbcast", false));
+  EXPECT_EQ(off.ops, 0u);
+  EXPECT_EQ(off.fallback_ops, 0u);
 }
 
 // --- checked runs -----------------------------------------------------------
@@ -191,9 +224,17 @@ TEST(ObserverFastpath, ZeroRateInjectorKeepsFastPath) {
 // The injector's gate table covers any core id a larger topology issues:
 // on a 256-core mesh, core 200's multi-line put runs coalesced under a
 // zero-rate injector, and a planned stall of core 200 routes it through
-// the gated per-line path — identical end times either way.
-sim::Time mesh_put_end(const fault::FaultPlan& plan, bool coalescing,
-                       std::uint64_t* stalls_applied) {
+// the gated per-line path — identical end times either way, with the
+// chip counting the coalesced op or the denied one.
+struct MeshPut {
+  sim::Time end = 0;
+  std::uint64_t stalls_applied = 0;
+  scc::SccChip::BulkObserverStats bulk{};
+};
+
+constexpr std::size_t kMeshPutLines = 64;
+
+MeshPut mesh_put(const fault::FaultPlan& plan, bool coalescing) {
   scc::SccConfig cfg;
   cfg.topology = noc::Topology::mesh(16, 16, /*cores_per_tile=*/1);
   cfg.coalescing = coalescing;
@@ -202,12 +243,12 @@ sim::Time mesh_put_end(const fault::FaultPlan& plan, bool coalescing,
   chip.add_observer(&injector);
   EXPECT_EQ(chip.coalescing_active(), coalescing);
   chip.spawn(200, [](scc::Core& me) -> sim::Task<void> {
-    co_await rma::put_mpb_to_mpb(me, {37, 0}, 0, 64);
+    co_await rma::put_mpb_to_mpb(me, {37, 0}, 0, kMeshPutLines);
   });
   const sim::RunResult run = chip.run();
   EXPECT_TRUE(run.completed());
-  *stalls_applied = injector.stats().stalls_applied;
-  return run.end_time;
+  return MeshPut{run.end_time, injector.stats().stalls_applied,
+                 chip.bulk_stats()};
 }
 
 TEST(ObserverFastpath, InjectorGatesCoresBeyondTheScc) {
@@ -223,18 +264,25 @@ TEST(ObserverFastpath, InjectorGatesCoresBeyondTheScc) {
     EXPECT_TRUE(gated.bulk_window_clear(255, 0));
   }
 
-  std::uint64_t stalls[2] = {0, 0};
-  const sim::Time plain_on = mesh_put_end(zero_rate, true, &stalls[0]);
-  const sim::Time plain_off = mesh_put_end(zero_rate, false, &stalls[1]);
-  EXPECT_EQ(plain_on, plain_off);
-  EXPECT_EQ(stalls[0] + stalls[1], 0u);
+  const MeshPut plain_on = mesh_put(zero_rate, true);
+  const MeshPut plain_off = mesh_put(zero_rate, false);
+  EXPECT_EQ(plain_on.end, plain_off.end);
+  EXPECT_EQ(plain_on.stalls_applied + plain_off.stalls_applied, 0u);
 
-  const sim::Time stalled_on = mesh_put_end(stalled, true, &stalls[0]);
-  const sim::Time stalled_off = mesh_put_end(stalled, false, &stalls[1]);
-  EXPECT_EQ(stalled_on, stalled_off);
-  EXPECT_EQ(stalls[0], 1u);
-  EXPECT_EQ(stalls[1], 1u);
-  EXPECT_EQ(stalled_on, plain_on + 5 * sim::kMicrosecond);
+  const MeshPut stalled_on = mesh_put(stalled, true);
+  const MeshPut stalled_off = mesh_put(stalled, false);
+  EXPECT_EQ(stalled_on.end, stalled_off.end);
+  EXPECT_EQ(stalled_on.stalls_applied, 1u);
+  EXPECT_EQ(stalled_off.stalls_applied, 1u);
+  EXPECT_EQ(stalled_on.end, plain_on.end + 5 * sim::kMicrosecond);
+
+  EXPECT_EQ(plain_on.bulk.ops, 1u);
+  EXPECT_EQ(plain_on.bulk.ops_observed, 1u);
+  EXPECT_EQ(plain_on.bulk.fallback_ops, 0u);
+  EXPECT_EQ(stalled_on.bulk.ops, 0u);
+  EXPECT_EQ(stalled_on.bulk.fallback_ops, 1u);
+  EXPECT_EQ(stalled_on.bulk.fallback_lines, kMeshPutLines);
+  EXPECT_EQ(plain_off.bulk.ops + stalled_off.bulk.fallback_ops, 0u);
 }
 
 // --- service runs -----------------------------------------------------------
